@@ -28,17 +28,6 @@ from .optimize import (
     optimize_fock_single,
     sweep,
 )
-from .oracle import (
-    LindbladSystem,
-    OracleDiagnosticError,
-    build_system,
-    coherence_decay_rate,
-    monte_carlo_double,
-    quadrature_single,
-    run_verification_suite,
-    steady_state_density_matrix,
-    steady_state_rt,
-)
 from .protocol import (
     Preparation,
     SchemeOutcome,
@@ -98,3 +87,12 @@ __all__ = [
     "run_verification_suite",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Only the oracle's names in __all__ reach this: the oracle pulls in
+    # scipy, so it loads on first use (PEP 562), which only `verify` makes.
+    if name in __all__:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,6 @@ import pathlib
 import click
 import numpy as np
 
-# Submodule imports go through sys.modules directly; the package re-exports
-# a function named `optimize` that would shadow `from . import optimize`.
 from .core import (
     CavityParams,
     reflection_probability,
@@ -26,16 +24,8 @@ from .core import (
     scattering_loss,
     transmission_probability,
 )
-from .optimize import Scheme, SweepSpec, default_x_grid, sweep
-from .optimize import STATUS_OK as _OPT_OK
-from .oracle import run_verification_suite
-from .protocol import (
-    coherent_double,
-    coherent_double_fidelity_uncorrected,
-    coherent_single,
-    fock_double,
-    fock_single,
-)
+from .optimize import SCHEMES, Scheme, SweepSpec, default_x_grid, sweep
+from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
 _PARAM_KEYS = {"x", "g", "kappa_a", "kappa_b", "gamma", "delta", "eta", "f",
                "g_tilde", "kappa_tilde"}
@@ -228,9 +218,11 @@ def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
         start = cfg.get("omega_start", -10.0)
         stop = cfg.get("omega_stop", 10.0)
         points = cfg.get("omega_points", 201)
-        if points < 1 or stop < start:
+        if points < 1 or not -math.inf < start <= stop < math.inf:
             raise click.UsageError("invalid omega range")
         omegas = list(np.linspace(start, stop, points))
+    elif not all(map(math.isfinite, omegas)):
+        raise click.UsageError("omega values must be finite")
 
     rows = []
     try:
@@ -272,26 +264,22 @@ def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
                   format=fmt, out=out)
     if "scheme" not in cfg:
         raise click.UsageError("--scheme is required")
-    scheme_v = Scheme(cfg["scheme"])
     params = _build_params(cfg)
 
     uncorrected = None
-    if scheme_v is Scheme.FOCK_SINGLE:
-        if "phi" not in cfg:
-            raise click.UsageError("fock-single needs --phi")
-        outcome = fock_single(params, cfg["phi"])
-    elif scheme_v is Scheme.FOCK_DOUBLE:
-        outcome = fock_double(params)
-    elif scheme_v is Scheme.COHERENT_SINGLE:
-        if "phi" not in cfg or "n_max" not in cfg:
-            raise click.UsageError("coherent-single needs --phi and --n-max")
-        outcome = coherent_single(params, cfg["phi"], cfg["n_max"])
-    else:
-        if "n_max" not in cfg:
-            raise click.UsageError("coherent-double needs --n-max")
-        outcome = coherent_double(params, cfg["n_max"])
-        uncorrected = coherent_double_fidelity_uncorrected(
-            params, cfg["n_max"])
+    try:
+        scheme_v = Scheme(cfg["scheme"])  # a config file may name any scheme
+        entry = SCHEMES[scheme_v]
+        if any(name not in cfg for name in entry.needs):
+            flags = " and ".join("--" + name.replace("_", "-")
+                                 for name in entry.needs)
+            raise click.UsageError(f"{scheme_v.value} needs {flags}")
+        outcome = entry.evaluate(params, *(cfg[name] for name in entry.needs))
+        if scheme_v is Scheme.COHERENT_DOUBLE:
+            uncorrected = coherent_double_fidelity_uncorrected(
+                params, cfg["n_max"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
     row = {"scheme": scheme_v.value,
            "p_success": outcome.p_success,
@@ -345,7 +333,7 @@ def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
     _write(_render(rows, ["x", "scheme", "eta", "F_target", "phi_opt",
                           "n_max_opt", "P_s", "F_achieved", "status"],
                    cfg.get("format", "csv")), cfg.get("out"))
-    if not any(r.status == _OPT_OK for r in results):
+    if not any(r.status == STATUS_OK for r in results):
         ctx.exit(1)
 
 
@@ -366,6 +354,7 @@ def cmd_verify(ctx, config, seed, samples, tolerance_scale, out) -> None:
                   tolerance_scale=tolerance_scale, out=out)
     if cfg.get("samples", 1_000_000) < 10_000:
         raise click.UsageError("need at least 1e4 samples")
+    from .oracle import run_verification_suite  # scipy loads only here
     report = run_verification_suite(
         seed=cfg.get("seed", 20240817),
         samples=cfg.get("samples", 1_000_000),

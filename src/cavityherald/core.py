@@ -18,8 +18,9 @@ def _check_n(n_atoms: int) -> int:
 
 
 def _check_xn(x: float, n_atoms: int) -> int:
-    if x < 0:
-        raise ValueError(f"cooperativity must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(
+            f"cooperativity must be nonnegative and finite, got {x}")
     return _check_n(n_atoms)
 
 
@@ -98,6 +99,10 @@ class CavityParams:
     kappa_tilde: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.g, self.kappa_a, self.kappa_b,
+                                       self.delta, self.g_tilde,
+                                       self.kappa_tilde))):
+            raise ValueError("cavity rates must be finite")
         if self.g < 0:
             raise ValueError("g must be nonnegative")
         if self.kappa_a <= 0 or self.kappa_b <= 0:

@@ -13,17 +13,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocol
-from .core import (
-    CavityParams,
-    effective_cooperativity_ring,
-    reflection_probability,
-    with_cooperativity,
-)
+from .core import CavityParams, with_cooperativity
+from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
@@ -31,7 +29,6 @@ _BISECT_STEPS = 200
 _GOLDEN_STEPS = 80
 _COARSE_POINTS = 121
 
-STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 
 
@@ -72,6 +69,8 @@ class SweepSpec:
             raise ValueError("x_grid must be nonempty")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ValueError("x_grid must be strictly increasing")
+        if not all(0.0 <= x < math.inf for x in self.x_grid):
+            raise ValueError("x_grid must hold finite nonnegative values")
 
 
 def default_x_grid(n_points: int = 40) -> tuple[float, ...]:
@@ -104,10 +103,7 @@ def optimize_fock_single(params: CavityParams,
     out0 = protocol.fock_single(params, math.pi / 4)
     if out0.status != protocol.STATUS_OK:
         return _infeasible(params, Scheme.FOCK_SINGLE, f_target)
-    x = params.cooperativity
-    xe = effective_cooperativity_ring(params)
-    r1 = reflection_probability(xe, 1)
-    r2 = reflection_probability(xe, 2)
+    r1, r2, _ = protocol._rates(params)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
     check = protocol.fock_single(params, phi)
@@ -116,9 +112,9 @@ def optimize_fock_single(params: CavityParams,
             f"constraint inversion failed: wanted F={f_target}, "
             f"got {check.fidelity}")
     return OptimizationResult(
-        x=x, scheme=Scheme.FOCK_SINGLE, eta=params.eta, f_target=f_target,
-        phi_opt=phi, n_max_opt=None, p_success=check.p_success,
-        fidelity_achieved=check.fidelity)
+        x=params.cooperativity, scheme=Scheme.FOCK_SINGLE, eta=params.eta,
+        f_target=f_target, phi_opt=phi, n_max_opt=None,
+        p_success=check.p_success, fidelity_achieved=check.fidelity)
 
 
 def optimize_fock_double(params: CavityParams,
@@ -136,6 +132,29 @@ def optimize_fock_double(params: CavityParams,
         p_success=out.p_success, fidelity_achieved=out.fidelity)
 
 
+def _largest_feasible(fid: Callable[[float], float], f_target: float,
+                      rel_tol: float) -> float | None:
+    """Largest n_max in [1e-9, N_MAX_CEILING] with fid(n_max) >= f_target,
+    fid nonincreasing; None when 1e-9 already misses. Bisects to float
+    resolution or until hi - lo < rel_tol * max(1, lo)."""
+    lo, hi = 1e-9, N_MAX_CEILING
+    if fid(lo) < f_target:
+        return None
+    if fid(hi) >= f_target:
+        return hi
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if fid(mid) >= f_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < rel_tol * max(1.0, lo):
+            break
+    return lo  # feasible endpoint, so achieved F >= target
+
+
 def _coherent_single_budget(params: CavityParams, phi: float,
                             f_target: float) -> float | None:
     """Largest n_max with F >= f_target at this phi; the ceiling when the
@@ -145,20 +164,7 @@ def _coherent_single_budget(params: CavityParams, phi: float,
         return -1.0 if out.fidelity is None else out.fidelity
 
     # F(n_max) is nonincreasing, F(0+) = p1c(0)
-    if fid(1e-9) < f_target:
-        return None
-    if fid(N_MAX_CEILING) >= f_target:
-        return N_MAX_CEILING
-    lo, hi = 1e-9, N_MAX_CEILING
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if fid(mid) >= f_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, lo):
-            break
-    return lo  # feasible endpoint, so achieved F >= target
+    return _largest_feasible(fid, f_target, 1e-13)
 
 
 def optimize_coherent_single(params: CavityParams,
@@ -237,19 +243,9 @@ def optimize_coherent_double(params: CavityParams,
             "fidelity is not monotone in n_max on the probe grid; "
             "bisection would be unsound for these parameters")
 
-    if fvals[-1] >= f_target:
-        nm = N_MAX_CEILING
-    else:
-        lo, hi = 1e-9, N_MAX_CEILING
-        if fid(lo) < f_target:
-            return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if fid(mid) >= f_target:
-                lo = mid
-            else:
-                hi = mid
-        nm = lo
+    nm = _largest_feasible(fid, f_target, 0.0)
+    if nm is None:
+        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target)
     out = protocol.coherent_double(params, nm)
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.COHERENT_DOUBLE,
@@ -258,18 +254,26 @@ def optimize_coherent_double(params: CavityParams,
         fidelity_achieved=out.fidelity)
 
 
-_OPTIMIZERS = {
-    Scheme.FOCK_SINGLE: optimize_fock_single,
-    Scheme.FOCK_DOUBLE: optimize_fock_double,
-    Scheme.COHERENT_SINGLE: optimize_coherent_single,
-    Scheme.COHERENT_DOUBLE: optimize_coherent_double,
+# evaluate(params, *(values of the arguments named in needs)) is the closed
+# form; optimizer(params, f_target) maximizes its P_s at a fidelity floor
+SchemeEntry = namedtuple("SchemeEntry", "evaluate needs optimizer")
+
+SCHEMES = {
+    Scheme.FOCK_SINGLE: SchemeEntry(
+        protocol.fock_single, ("phi",), optimize_fock_single),
+    Scheme.FOCK_DOUBLE: SchemeEntry(
+        protocol.fock_double, (), optimize_fock_double),
+    Scheme.COHERENT_SINGLE: SchemeEntry(
+        protocol.coherent_single, ("phi", "n_max"), optimize_coherent_single),
+    Scheme.COHERENT_DOUBLE: SchemeEntry(
+        protocol.coherent_double, ("n_max",), optimize_coherent_double),
 }
 
 
 def optimize(params: CavityParams, scheme: Scheme,
              f_target: float) -> OptimizationResult:
     """Dispatch to the per-scheme optimizer."""
-    return _OPTIMIZERS[Scheme(scheme)](params, f_target)
+    return SCHEMES[Scheme(scheme)].optimizer(params, f_target)
 
 
 def sweep(spec: SweepSpec) -> list[OptimizationResult]:

@@ -190,8 +190,8 @@ def coherent_single(params: CavityParams, phi: float,
     which equals the quadrature of F_c(n) dP/dn over the window exactly.
     Diagnostics report the click-averaged p1c and coherence term.
     """
-    if n_max <= 0:
-        raise ValueError("n_max must be positive")
+    if not 0.0 < n_max < math.inf:
+        raise ValueError(f"n_max must be positive and finite, got {n_max}")
     prep = initial_populations(phi)
     r1, r2, lam = _rates(params)
     a = params.eta * r1
@@ -266,8 +266,8 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     See `coherent_double_fidelity_uncorrected` for the variant form that
     drops the conditioning factor of 2 and can exceed 1.
     """
-    if n_max <= 0:
-        raise ValueError("n_max must be positive")
+    if not 0.0 < n_max < math.inf:
+        raise ValueError(f"n_max must be positive and finite, got {n_max}")
     r1, _, lam = _rates(params)
     a = params.eta * r1
     ps_sub, coh = _double_click_terms(a, lam, n_max)
@@ -288,14 +288,10 @@ def coherent_double_fidelity_uncorrected(params: CavityParams,
     Kept for comparison only: it exceeds 1 for good cavities (1.194 at
     x = 1, eta = 1, n_max = 2), which the Monte Carlo oracle rules out.
     """
-    if n_max <= 0:
-        raise ValueError("n_max must be positive")
+    if not 0.0 < n_max < math.inf:
+        raise ValueError(f"n_max must be positive and finite, got {n_max}")
     r1, _, lam = _rates(params)
-    return _uncorrected_from_rates(params.eta * r1, lam, n_max)
-
-
-def _uncorrected_from_rates(a: float, lam: float, n_max: float) -> float:
-    ps_sub, coh = _double_click_terms(a, lam, n_max)
+    ps_sub, coh = _double_click_terms(params.eta * r1, lam, n_max)
     ps = 0.5 * ps_sub
     if ps == 0.0:
         return math.nan

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import cavityherald
 from cavityherald.cli import main
 
 
@@ -98,6 +103,12 @@ def test_protocol_requires_scheme_parameters(runner):
     assert invoke(runner, "protocol", "--scheme", "coherent-double",
                   "--x", "1").exit_code == 2  # no n-max
     assert invoke(runner, "protocol", "--x", "1").exit_code == 2  # no scheme
+    # out-of-range values are usage errors, not tracebacks
+    assert invoke(runner, "protocol", "--scheme", "fock-single",
+                  "--x", "1", "--phi", "3").exit_code == 2
+    for n_max in ("0", "-1"):
+        assert invoke(runner, "protocol", "--scheme", "coherent-double",
+                      "--x", "1", "--n-max", n_max).exit_code == 2
 
 
 def test_protocol_fock_double_row(runner):
@@ -132,6 +143,27 @@ def test_protocol_eta_flag(runner):
     assert math.isclose(row["p_success"], 0.2048 / 4, rel_tol=1e-12)
 
 
+# ------------------------------------------------------------ non-finite input
+
+@pytest.mark.parametrize("args", [
+    ("response", "--x", "nan"),
+    ("response", "--x", "inf"),
+    ("spectrum", "--x", "1", "--omega", "nan"),
+    ("spectrum", "--x", "1", "--omega-stop", "inf"),
+    ("protocol", "--scheme", "fock-double", "--x", "inf"),
+    ("protocol", "--scheme", "coherent-double", "--x", "1", "--n-max", "nan"),
+    ("protocol", "--scheme", "coherent-single", "--x", "1", "--phi", "0.5",
+     "--n-max", "inf"),
+    ("optimize", "--scheme", "fock-double", "--x", "inf", "--f-target", "0.9"),
+    ("optimize", "--scheme", "fock-single", "--x", "1", "--x", "inf",
+     "--f-target", "0.9"),
+])
+def test_non_finite_input_is_a_usage_error(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""  # no row, NaN or otherwise
+
+
 # --------------------------------------------------------------------- config
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
@@ -144,6 +176,14 @@ def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
                   "--format", "json")
     # R_1(0.25) = 1/4, so the double-click probability drops to 1/32
     assert json.loads(over.output)[0]["p_success"] == 0.03125
+
+
+def test_config_unknown_scheme_rejected(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"x": 1.0, "scheme": "bogus"}')
+    res = invoke(runner, "protocol", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert "bogus" in res.output
 
 
 def test_config_unknown_key_rejected(runner, tmp_path):
@@ -234,6 +274,21 @@ def test_optimize_writes_file_not_stdout(runner, tmp_path):
 
 
 # --------------------------------------------------------------------- verify
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the scipy-based oracle loads on first use, which only `verify` makes
+    probe = ("import sys, cavityherald, cavityherald.cli\n"
+             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+             "assert (cavityherald.run_verification_suite\n"
+             "        is cavityherald.oracle.run_verification_suite)\n")
+    src = str(pathlib.Path(cavityherald.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_verify_passes_and_reports_json(runner):
     res = invoke(runner, "verify", "--samples", "20000")

@@ -143,6 +143,22 @@ def test_coherent_double_saturation(f_target):
         assert probe.fidelity < f_target + 1e-7
 
 
+@pytest.mark.parametrize("eta", [1.0, 0.6])
+@pytest.mark.parametrize("f_target", [0.75, 0.9, 0.97])
+def test_coherent_double_budget_is_exact_to_float_resolution(eta, f_target):
+    # the bisection runs to float adjacency: the returned budget meets the
+    # target and the next float up misses it
+    for x in (0.1, 0.5, 1.0, 3.0):
+        params = CavityParams.from_cooperativity(x, eta=eta)
+        res = optimize_coherent_double(params, f_target)
+        if res.status != STATUS_OK or res.n_max_opt >= N_MAX_CEILING:
+            continue
+        nm = res.n_max_opt
+        assert coherent_double(params, nm).fidelity >= f_target
+        above = coherent_double(params, math.nextafter(nm, math.inf))
+        assert above.fidelity < f_target
+
+
 def test_dispatcher_accepts_scheme_values():
     for scheme in Scheme:
         res = optimize(P1, scheme, 0.8)
