@@ -30,6 +30,10 @@ from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 _PARAM_KEYS = {"x", "g", "kappa_a", "kappa_b", "gamma", "delta", "eta", "f",
                "g_tilde", "kappa_tilde"}
 _RAW_KEYS = {"g", "kappa_a", "kappa_b", "gamma"}
+# the JSON type each config key must have; every other key is one number
+_TEXT_KEYS = {"scheme", "format", "out"}
+_GRID_KEYS = {"x_grid", "n_values", "omega_grid"}
+_COUNT_KEYS = {"omega_points", "seed", "samples"}
 
 
 def _fmt_float(value: float) -> str:
@@ -91,7 +95,23 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
     if unknown:
         raise click.UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in config.items():
+        if key in _TEXT_KEYS:
+            ok = isinstance(value, str)
+        elif key in _GRID_KEYS:
+            ok = isinstance(value, list) and all(map(_is_number, value))
+        elif key in _COUNT_KEYS:
+            ok = _is_number(value) and isinstance(value, int)
+        else:
+            ok = _is_number(value)
+        if not ok:
+            raise click.UsageError(
+                f"config value of {key} has the wrong type: {value!r}")
     return config
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _merged(config: dict, **flags) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -155,13 +156,14 @@ def _largest_feasible(fid: Callable[[float], float], f_target: float,
     return lo  # feasible endpoint, so achieved F >= target
 
 
-def _coherent_single_budget(params: CavityParams, phi: float,
+def _coherent_single_budget(terms: Callable[[float], tuple],
                             f_target: float) -> float | None:
-    """Largest n_max with F >= f_target at this phi; the ceiling when the
-    constraint never binds; None when even n_max -> 0 misses the target."""
+    """Largest n_max with F >= f_target, where terms(n_max) is the
+    coherent-single closed form at one phi; the ceiling when the constraint
+    never binds; None when even n_max -> 0 misses the target."""
     def fid(nm: float) -> float:
-        out = protocol.coherent_single(params, phi, nm)
-        return -1.0 if out.fidelity is None else out.fidelity
+        f = terms(nm)[1]
+        return -1.0 if f is None else f
 
     # F(n_max) is nonincreasing, F(0+) = p1c(0)
     return _largest_feasible(fid, f_target, 1e-13)
@@ -177,12 +179,22 @@ def optimize_coherent_single(params: CavityParams,
     refinement between the grid neighbors of the best point.
     """
     _check_target(f_target)
+    # the rates are fixed for the row and the populations for each phi, so
+    # the thousands of bisection steps evaluate only the closed form itself
+    r1, r2, lam = protocol._rates(params)
+    a, b = params.eta * r1, params.eta * r2
+
+    def closed_form(phi: float) -> Callable[[float], tuple]:
+        prep = protocol.initial_populations(phi)
+        return functools.partial(protocol._coherent_single_terms,
+                                 prep.p1, prep.p2, a, b, lam)
 
     def ps_at(phi: float) -> float:
-        nm = _coherent_single_budget(params, phi, f_target)
+        terms = closed_form(phi)
+        nm = _coherent_single_budget(terms, f_target)
         if nm is None:
             return -1.0
-        return protocol.coherent_single(params, phi, nm).p_success
+        return terms(nm)[0]
 
     phis = np.linspace(1e-4, math.pi / 2 - 1e-4, _COARSE_POINTS)
     values = [ps_at(p) for p in phis]
@@ -208,7 +220,7 @@ def optimize_coherent_single(params: CavityParams,
         if hi - lo < 1e-10:
             break
     phi = float(0.5 * (lo + hi))
-    nm = _coherent_single_budget(params, phi, f_target)
+    nm = _coherent_single_budget(closed_form(phi), f_target)
     if nm is None:  # golden section cannot leave the feasible bracket
         return _infeasible(params, Scheme.COHERENT_SINGLE, f_target)
     out = protocol.coherent_single(params, phi, nm)
@@ -228,10 +240,12 @@ def optimize_coherent_double(params: CavityParams,
     P_s sits on its 1/2 plateau.
     """
     _check_target(f_target)
+    r1, _, lam = protocol._rates(params)
+    a = params.eta * r1
 
     def fid(nm: float) -> float:
-        out = protocol.coherent_double(params, nm)
-        return -1.0 if out.fidelity is None else out.fidelity
+        f = protocol._double_click_terms(a, lam, nm)[1]
+        return -1.0 if f is None else f
 
     if fid(1e-9) < 0.0:
         return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target)

@@ -138,8 +138,8 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     fidelity ratio; for n -> infinity it tends to 1 because R1 < R2 makes the
     one-atom exponential the slower one.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
     prep = initial_populations(phi)
     r1, r2, _ = _rates(params)
     a = prep.p1 * r1 * math.exp(-params.eta * r1 * n)
@@ -169,8 +169,8 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     dP/dn = eta p1 R1 e^{-eta R1 n} + eta p2 R2 e^{-eta R2 n}; integrates to
     p1 + p2 over [0, infinity) at eta = 1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
     prep = initial_populations(phi)
     r1, r2, _ = _rates(params)
     return (params.eta * prep.p1 * r1 * math.exp(-params.eta * r1 * n)
@@ -194,20 +194,33 @@ def coherent_single(params: CavityParams, phi: float,
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
     prep = initial_populations(phi)
     r1, r2, lam = _rates(params)
-    a = params.eta * r1
-    ps = (prep.p1 * -math.expm1(-a * n_max)
-          + prep.p2 * -math.expm1(-params.eta * r2 * n_max))
-    if ps == 0.0:
+    ps, fid, p1c_avg, coh = _coherent_single_terms(
+        prep.p1, prep.p2, params.eta * r1, params.eta * r2, lam, n_max)
+    if fid is None:
         return SchemeOutcome(p_success=0.0, fidelity=None,
                              status=STATUS_UNDEFINED)
-    p1c_avg = prep.p1 * -math.expm1(-a * n_max) / ps
+    return SchemeOutcome(p_success=ps, fidelity=fid,
+                         p1_conditional=p1c_avg, re_coherence=coh)
+
+
+def _coherent_single_terms(p1: float, p2: float, a: float, b: float,
+                           lam: float, n_max: float
+                           ) -> tuple[float, float | None, float | None,
+                                      float | None]:
+    # (P_s, F, click-averaged p1c, coherence term) of `coherent_single` at
+    # populations p1, p2 and click rates a = eta R1, b = eta R2, unvalidated
+    # so that the optimizer can evaluate it on rates computed once per row;
+    # F and the diagnostics are None when P_s = 0
+    click1 = -math.expm1(-a * n_max)
+    ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
+    if ps == 0.0:
+        return 0.0, None, None, None
+    p1c_avg = p1 * click1 / ps
     if a + lam > 0:
-        coh = (prep.p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max)
-               / (2.0 * ps))
+        coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
     else:
         coh = 0.0
-    return SchemeOutcome(p_success=ps, fidelity=p1c_avg / 2.0 + coh,
-                         p1_conditional=p1c_avg, re_coherence=coh)
+    return ps, p1c_avg / 2.0 + coh, p1c_avg, coh
 
 
 def _erlang2_cdf(z: float) -> float:
@@ -237,14 +250,17 @@ def _erlang2_cdf(z: float) -> float:
 
 
 def _double_click_terms(a: float, lam: float,
-                        n_max: float) -> tuple[float, float]:
-    # (subspace success CDF, Erlang-2 coherence integral a^2 * E-term)
-    ps_sub = _erlang2_cdf(a * n_max)
+                        n_max: float) -> tuple[float, float | None, float]:
+    # (P_s, F of `coherent_double` or None when P_s = 0, Erlang-2 coherence
+    # integral a^2 * E-term) at click rate a = eta R1, unvalidated
+    ps = 0.5 * _erlang2_cdf(a * n_max)
     if a + lam > 0:
         coh = a * a * _erlang2_cdf((a + lam) * n_max) / (a + lam) ** 2
     else:
         coh = 0.0
-    return ps_sub, coh
+    if ps == 0.0:
+        return 0.0, None, coh
+    return ps, 0.5 + coh / (4.0 * ps), coh
 
 
 def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
@@ -269,30 +285,27 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     if not 0.0 < n_max < math.inf:
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
     r1, _, lam = _rates(params)
-    a = params.eta * r1
-    ps_sub, coh = _double_click_terms(a, lam, n_max)
-    ps = 0.5 * ps_sub
-    if ps == 0.0:
+    ps, fid, _ = _double_click_terms(params.eta * r1, lam, n_max)
+    if fid is None:
         return SchemeOutcome(p_success=0.0, fidelity=None,
                              status=STATUS_UNDEFINED)
-    fid = 0.5 + coh / (4.0 * ps)
     return SchemeOutcome(p_success=ps, fidelity=fid, p1_conditional=1.0,
                          re_coherence=fid - 0.5)
 
 
 def coherent_double_fidelity_uncorrected(params: CavityParams,
-                                         n_max: float) -> float:
+                                         n_max: float) -> float | None:
     """Uncorrected double-click fidelity with the coherence term normalized
     by P_s instead of the subspace-conditioned click probability 2 P_s.
 
     Kept for comparison only: it exceeds 1 for good cavities (1.194 at
     x = 1, eta = 1, n_max = 2), which the Monte Carlo oracle rules out.
+    None when P_s = 0, like the fidelity of `coherent_double`.
     """
     if not 0.0 < n_max < math.inf:
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
     r1, _, lam = _rates(params)
-    ps_sub, coh = _double_click_terms(params.eta * r1, lam, n_max)
-    ps = 0.5 * ps_sub
+    ps, _, coh = _double_click_terms(params.eta * r1, lam, n_max)
     if ps == 0.0:
-        return math.nan
+        return None
     return 0.5 + coh / (2.0 * ps)

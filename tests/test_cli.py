@@ -136,6 +136,16 @@ def test_protocol_coherent_double_reports_uncorrected_comparison(runner):
     assert row["uncorrected_fidelity"] > 1.0
 
 
+def test_protocol_coherent_double_undefined_row_has_no_nan(runner):
+    args = ("protocol", "--scheme", "coherent-double", "--x", "0",
+            "--n-max", "2")
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == "coherent-double,0.0,,undefined,,,"
+    row = json.loads(invoke(runner, *args, "--format", "json").output)[0]
+    assert row["uncorrected_fidelity"] is None
+
+
 def test_protocol_eta_flag(runner):
     res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "1",
                  "--eta", "0.5", "--format", "json")
@@ -165,6 +175,25 @@ def test_non_finite_input_is_a_usage_error(runner, args):
 
 
 # --------------------------------------------------------------------- config
+
+@pytest.mark.parametrize("args, config", [
+    (("response",), '{"x_grid": ["a"]}'),
+    (("spectrum", "--x", "1"), '{"omega_points": 2.5}'),
+    (("spectrum", "--x", "1"), '{"n_atoms": "1"}'),
+    (("protocol", "--scheme", "fock-double"), '{"x": "1"}'),
+    (("protocol", "--scheme", "fock-double", "--x", "1"), '{"eta": true}'),
+    (("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
+     '{"x_grid": [1, "2"]}'),
+], ids=["response-grid", "spectrum-count", "spectrum-atoms", "protocol-x",
+        "protocol-bool", "optimize-grid"])
+def test_config_value_of_wrong_type_is_a_usage_error(runner, tmp_path, args,
+                                                      config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    res = invoke(runner, *args, "--config", str(cfg))
+    assert res.exit_code == 2
+    assert "wrong type" in res.output
+
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -94,10 +94,16 @@ def test_coherent_single_reference_point():
     assert res.fidelity_achieved >= 0.9 - 1e-9
 
 
-def test_coherent_single_result_is_consistent():
-    res = optimize_coherent_single(with_cooperativity(P1, 0.4), 0.85)
-    out = coherent_single(with_cooperativity(P1, 0.4), res.phi_opt,
-                          res.n_max_opt)
+@pytest.mark.parametrize("params", [
+    *(CavityParams.from_cooperativity(x, eta=eta)
+      for x in (0.05, 0.4, 2.0) for eta in (0.5, 1.0)),
+    CavityParams.from_cooperativity(1.0, g_tilde=0.3, kappa_tilde=1.0),
+], ids=[*(f"x{x}-eta{eta}" for x in (0.05, 0.4, 2) for eta in (0.5, 1)),
+        "ring"])
+def test_coherent_single_result_is_consistent(params):
+    res = optimize_coherent_single(params, 0.85)
+    assert res.status == STATUS_OK
+    out = coherent_single(params, res.phi_opt, res.n_max_opt)
     assert out.p_success == res.p_success
     assert out.fidelity == res.fidelity_achieved
 

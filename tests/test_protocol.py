@@ -16,7 +16,9 @@ from cavityherald.core import CavityParams, with_cooperativity
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
+    _coherent_single_terms,
     _erlang2_cdf,
+    _rates,
     coherent_conditional_fidelity,
     coherent_conditional_population,
     coherent_double,
@@ -179,6 +181,15 @@ def test_click_density_positive_and_decaying(phi, n):
     assert d1 < d0
 
 
+@pytest.mark.parametrize("helper", [coherent_conditional_population,
+                                    coherent_conditional_fidelity,
+                                    first_click_density])
+@pytest.mark.parametrize("n", [math.nan, math.inf, -1.0])
+def test_photon_number_helpers_reject_non_finite_and_negative(helper, n):
+    with pytest.raises(ValueError):
+        helper(P1, 0.5, n)
+
+
 @given(angles, budgets)
 def test_coherent_single_success_monotone_in_budget(phi, n):
     small = coherent_single(P1, phi, n)
@@ -205,6 +216,33 @@ def test_coherent_single_diagnostics_decomposition(phi, n):
 def test_coherent_single_undefined_without_atoms():
     out = coherent_single(with_cooperativity(P1, 0.0), 0.5, 1.0)
     assert out.status == STATUS_UNDEFINED
+
+
+# plain, lossy detection, spurious reflection, and two ring cavities
+kernel_params = st.sampled_from([
+    {}, {"f": 0.1}, {"g_tilde": 0.3, "kappa_tilde": 1.0},
+    {"g_tilde": 1.0, "kappa_tilde": 0.5, "f": 0.02},
+])
+
+
+@given(st.floats(min_value=0.0, max_value=math.pi / 2),
+       st.floats(min_value=1e-9, max_value=1e3),
+       st.floats(min_value=0.0, max_value=1e3),
+       st.floats(min_value=0.0, max_value=1.0), kernel_params)
+def test_coherent_single_terms_match_public_function(phi, n_max, x, eta,
+                                                     extra):
+    """The optimizer evaluates the private kernel on rates computed once per
+    row; its answers must be those of the public function, bit for bit."""
+    p = CavityParams.from_cooperativity(x, eta=eta, **extra)
+    prep = initial_populations(phi)
+    r1, r2, lam = _rates(p)
+    ps, fid, p1c, coh = _coherent_single_terms(
+        prep.p1, prep.p2, p.eta * r1, p.eta * r2, lam, n_max)
+    out = coherent_single(p, phi, n_max)
+    assert ps == out.p_success
+    assert fid == out.fidelity
+    assert p1c == out.p1_conditional
+    assert coh == out.re_coherence
 
 
 # ------------------------------------------------------------ coherent double
@@ -252,6 +290,12 @@ def test_uncorrected_form_overestimates(n_max, x):
     corrected = coherent_double(p, n_max).fidelity
     uncorrected = coherent_double_fidelity_uncorrected(p, n_max)
     assert uncorrected >= corrected - 1e-12
+
+
+def test_uncorrected_form_undefined_without_clicks():
+    assert coherent_double(with_cooperativity(P1, 0.0), 2.0).fidelity is None
+    assert coherent_double_fidelity_uncorrected(
+        with_cooperativity(P1, 0.0), 2.0) is None
 
 
 def test_uncorrected_form_escapes_unit_interval():
