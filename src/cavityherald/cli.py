@@ -107,6 +107,9 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
         if not ok:
             raise click.UsageError(
                 f"config value of {key} has the wrong type: {value!r}")
+    if config.get("format", "csv") not in ("csv", "json"):
+        raise click.UsageError(
+            f"config format must be csv or json, got {config['format']!r}")
     return config
 
 

@@ -16,7 +16,7 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,12 @@ from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
-_BISECT_STEPS = 200
+# the computed coherent-single F is within 3.4e-16 of a 40-digit reference
+# wherever F >= 0.5, and the exact F is nonincreasing in n_max, so a point
+# that clears or misses the target by this margin fixes the outcome of every
+# point on its side (see `_certified_bracket`)
+_CERT_MARGIN = 1e-13
+_SEARCH_STEPS = 20  # false-position probes per certified bracket, at most
 _GOLDEN_STEPS = 80
 _COARSE_POINTS = 121
 
@@ -43,7 +48,9 @@ class Scheme(str, enum.Enum):
 @dataclass(frozen=True)
 class OptimizationResult:
     """One optimizer answer; `n_max_opt` is None for the Fock schemes and
-    `status` is "infeasible" when no point satisfies the fidelity floor."""
+    `status` is "infeasible" when no point satisfies the fidelity floor.
+    `n_evals` counts the closed-form evaluations the row took; it is left
+    out of repr() and equality, so results compare and print by value."""
 
     x: float
     scheme: Scheme
@@ -54,6 +61,7 @@ class OptimizationResult:
     p_success: float
     fidelity_achieved: float | None
     status: str = STATUS_OK
+    n_evals: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,12 @@ def _check_target(f_target: float) -> None:
         raise ValueError("f_target must lie in (0.5, 1)")
 
 
-def _infeasible(params: CavityParams, scheme: Scheme,
-                f_target: float) -> OptimizationResult:
+def _infeasible(params: CavityParams, scheme: Scheme, f_target: float,
+                n_evals: int) -> OptimizationResult:
     return OptimizationResult(
         x=params.cooperativity, scheme=scheme, eta=params.eta,
         f_target=f_target, phi_opt=None, n_max_opt=None, p_success=0.0,
-        fidelity_achieved=None, status=STATUS_INFEASIBLE)
+        fidelity_achieved=None, status=STATUS_INFEASIBLE, n_evals=n_evals)
 
 
 def optimize_fock_single(params: CavityParams,
@@ -103,7 +111,7 @@ def optimize_fock_single(params: CavityParams,
     _check_target(f_target)
     out0 = protocol.fock_single(params, math.pi / 4)
     if out0.status != protocol.STATUS_OK:
-        return _infeasible(params, Scheme.FOCK_SINGLE, f_target)
+        return _infeasible(params, Scheme.FOCK_SINGLE, f_target, 1)
     r1, r2, _ = protocol._rates(params)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
@@ -115,7 +123,8 @@ def optimize_fock_single(params: CavityParams,
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.FOCK_SINGLE, eta=params.eta,
         f_target=f_target, phi_opt=phi, n_max_opt=None,
-        p_success=check.p_success, fidelity_achieved=check.fidelity)
+        p_success=check.p_success, fidelity_achieved=check.fidelity,
+        n_evals=2)
 
 
 def optimize_fock_double(params: CavityParams,
@@ -126,28 +135,40 @@ def optimize_fock_double(params: CavityParams,
     _check_target(f_target)
     out = protocol.fock_double(params)
     if out.fidelity is None or out.fidelity < f_target - _CONSTRAINT_TOL:
-        return _infeasible(params, Scheme.FOCK_DOUBLE, f_target)
+        return _infeasible(params, Scheme.FOCK_DOUBLE, f_target, 1)
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.FOCK_DOUBLE, eta=params.eta,
         f_target=f_target, phi_opt=math.pi / 4, n_max_opt=None,
-        p_success=out.p_success, fidelity_achieved=out.fidelity)
+        p_success=out.p_success, fidelity_achieved=out.fidelity, n_evals=1)
 
 
 def _largest_feasible(fid: Callable[[float], float], f_target: float,
-                      rel_tol: float) -> float | None:
+                      rel_tol: float, certify: bool = False,
+                      guess: float | None = None) -> float | None:
     """Largest n_max in [1e-9, N_MAX_CEILING] with fid(n_max) >= f_target,
     fid nonincreasing; None when 1e-9 already misses. Bisects to float
-    resolution or until hi - lo < rel_tol * max(1, lo)."""
+    resolution or until hi - lo < rel_tol * max(1, lo).
+
+    With `certify`, midpoints outside a bracket certified by
+    `_certified_bracket` (whose search starts at `guess`) take their known
+    outcome without calling fid; the midpoints, decisions and answer are
+    those of the plain bisection.
+    """
     lo, hi = 1e-9, N_MAX_CEILING
-    if fid(lo) < f_target:
+    f_lo = fid(lo)
+    if f_lo < f_target:
         return None
-    if fid(hi) >= f_target:
+    f_hi = fid(hi)
+    if f_hi >= f_target:
         return hi
-    for _ in range(_BISECT_STEPS):
+    below, above = lo, hi  # no midpoint reaches either: fid decides all
+    if certify:
+        below, above = _certified_bracket(fid, f_target, f_lo, f_hi, guess)
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if fid(mid) >= f_target:
+        if mid <= below or (mid < above and fid(mid) >= f_target):
             lo = mid
         else:
             hi = mid
@@ -156,17 +177,64 @@ def _largest_feasible(fid: Callable[[float], float], f_target: float,
     return lo  # feasible endpoint, so achieved F >= target
 
 
-def _coherent_single_budget(terms: Callable[[float], tuple],
-                            f_target: float) -> float | None:
-    """Largest n_max with F >= f_target, where terms(n_max) is the
-    coherent-single closed form at one phi; the ceiling when the constraint
-    never binds; None when even n_max -> 0 misses the target."""
-    def fid(nm: float) -> float:
-        f = terms(nm)[1]
-        return -1.0 if f is None else f
+def _certified_bracket(fid: Callable[[float], float], f_target: float,
+                       f_lo: float, f_hi: float,
+                       guess: float | None) -> tuple[float, float]:
+    """(below, above) with fid(below) >= f_target + _CERT_MARGIN and
+    fid(above) <= f_target - _CERT_MARGIN, both evaluated, so a fid that is
+    nonincreasing up to bumps below the margin is feasible at every point
+    <= below and infeasible at every point >= above.
 
-    # F(n_max) is nonincreasing, F(0+) = p1c(0)
-    return _largest_feasible(fid, f_target, 1e-13)
+    Illinois false position in u = log(n_max) (Dowell & Jarratt, BIT 11,
+    168 (1971)) from the endpoint values, probing `guess` first, then one
+    probe on each side of the root estimate. A poor guess costs evaluations
+    only: points that miss the margin just do not tighten the bracket.
+    """
+    below, above = 1e-9, N_MAX_CEILING
+
+    def probe(u: float) -> float:
+        nonlocal below, above
+        n = math.exp(u)
+        g = fid(n) - f_target
+        if g >= _CERT_MARGIN:
+            below = max(below, n)
+        elif g <= -_CERT_MARGIN:
+            above = min(above, n)
+        return g
+
+    # (u, g) on each side of the root; w scales a side's g in the false
+    # position, halved while the other side keeps moving (Illinois)
+    u_min, u_max = math.log(below), math.log(above)
+    ua, ga, wa = u_min, f_lo - f_target, 1.0
+    ub, gb, wb = u_max, f_hi - f_target, 1.0
+    u = None
+    if guess is not None and below < guess < above:
+        u = math.log(guess)
+    last = None  # whether the previous probe was feasible
+    for _ in range(_SEARCH_STEPS):
+        if u is None:
+            u = (ua * wb * gb - ub * wa * ga) / (wb * gb - wa * ga)
+            if not ua < u < ub:
+                break
+        g = probe(u)
+        if g >= 0.0:
+            ua, ga, wa = u, g, 1.0
+            if last:
+                wb *= 0.5
+        else:
+            ub, gb, wb = u, g, 1.0
+            if last is False:
+                wa *= 0.5
+        last = g >= 0.0
+        if abs(g) < _CERT_MARGIN:
+            break
+        u = None
+    # the secant root of the bracket, and points about 2 margins off it
+    root = ua - ga * (ub - ua) / (gb - ga)
+    step = 2.0 * _CERT_MARGIN * (ub - ua) / (ga - gb)
+    for u in (root - step, root + step):
+        probe(min(max(u, u_min), u_max))
+    return below, above
 
 
 def optimize_coherent_single(params: CavityParams,
@@ -175,32 +243,50 @@ def optimize_coherent_single(params: CavityParams,
 
     Inner variable: at fixed phi the fidelity is nonincreasing and P_s
     nondecreasing in n_max, so the best budget is the largest feasible one
-    (bisection). Outer variable: coarse grid over phi plus golden-section
-    refinement between the grid neighbors of the best point.
+    (bisection, to 1e-13 relative, with certified steps warm-started from the
+    previous phi's budget). Outer variable: coarse grid over phi plus
+    golden-section refinement between the grid neighbors of the best point.
     """
     _check_target(f_target)
     # the rates are fixed for the row and the populations for each phi, so
-    # the thousands of bisection steps evaluate only the closed form itself
+    # the bisection evaluates only the closed form itself
     r1, r2, lam = protocol._rates(params)
     a, b = params.eta * r1, params.eta * r2
+    n_evals = 0
+    guess = None
 
-    def closed_form(phi: float) -> Callable[[float], tuple]:
+    def budget(phi: float) -> tuple[float | None, Callable[[float], tuple]]:
+        # largest n_max with F >= f_target at phi, and the closed form there
+        nonlocal guess
         prep = protocol.initial_populations(phi)
-        return functools.partial(protocol._coherent_single_terms,
-                                 prep.p1, prep.p2, a, b, lam)
+        terms = functools.partial(protocol._coherent_single_terms,
+                                  prep.p1, prep.p2, a, b, lam)
+
+        def fid(nm: float) -> float:
+            nonlocal n_evals
+            n_evals += 1
+            f = terms(nm)[1]
+            return -1.0 if f is None else f
+
+        # F(n_max) is nonincreasing, F(0+) = p1c(0)
+        nm = _largest_feasible(fid, f_target, 1e-13, True, guess)
+        if nm is not None:
+            guess = nm
+        return nm, terms
 
     def ps_at(phi: float) -> float:
-        terms = closed_form(phi)
-        nm = _coherent_single_budget(terms, f_target)
+        nonlocal n_evals
+        nm, terms = budget(phi)
         if nm is None:
             return -1.0
+        n_evals += 1
         return terms(nm)[0]
 
     phis = np.linspace(1e-4, math.pi / 2 - 1e-4, _COARSE_POINTS)
     values = [ps_at(p) for p in phis]
     best = int(np.argmax(values))
     if values[best] <= 0.0:
-        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target)
+        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
 
     lo = phis[max(0, best - 1)]
     hi = phis[min(len(phis) - 1, best + 1)]
@@ -220,14 +306,15 @@ def optimize_coherent_single(params: CavityParams,
         if hi - lo < 1e-10:
             break
     phi = float(0.5 * (lo + hi))
-    nm = _coherent_single_budget(closed_form(phi), f_target)
+    nm, _ = budget(phi)
     if nm is None:  # golden section cannot leave the feasible bracket
-        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target)
+        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
     out = protocol.coherent_single(params, phi, nm)
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.COHERENT_SINGLE,
         eta=params.eta, f_target=f_target, phi_opt=phi, n_max_opt=nm,
-        p_success=out.p_success, fidelity_achieved=out.fidelity)
+        p_success=out.p_success, fidelity_achieved=out.fidelity,
+        n_evals=n_evals + 1)
 
 
 def optimize_coherent_double(params: CavityParams,
@@ -242,13 +329,16 @@ def optimize_coherent_double(params: CavityParams,
     _check_target(f_target)
     r1, _, lam = protocol._rates(params)
     a = params.eta * r1
+    n_evals = 0
 
     def fid(nm: float) -> float:
+        nonlocal n_evals
+        n_evals += 1
         f = protocol._double_click_terms(a, lam, nm)[1]
         return -1.0 if f is None else f
 
     if fid(1e-9) < 0.0:
-        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target)
+        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
 
     probe = np.logspace(-6, math.log10(N_MAX_CEILING), 60)
     fvals = [fid(nm) for nm in probe]
@@ -259,13 +349,13 @@ def optimize_coherent_double(params: CavityParams,
 
     nm = _largest_feasible(fid, f_target, 0.0)
     if nm is None:
-        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target)
+        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
     out = protocol.coherent_double(params, nm)
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.COHERENT_DOUBLE,
         eta=params.eta, f_target=f_target, phi_opt=math.pi / 4,
         n_max_opt=nm, p_success=out.p_success,
-        fidelity_achieved=out.fidelity)
+        fidelity_achieved=out.fidelity, n_evals=n_evals + 1)
 
 
 # evaluate(params, *(values of the arguments named in needs)) is the closed

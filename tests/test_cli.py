@@ -195,6 +195,22 @@ def test_config_value_of_wrong_type_is_a_usage_error(runner, tmp_path, args,
     assert "wrong type" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("response", "--x", "1", "--n", "1"),
+    ("spectrum", "--x", "1"),
+    ("protocol", "--scheme", "fock-double", "--x", "1"),
+    ("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
+], ids=["response", "spectrum", "protocol", "optimize"])
+def test_config_unknown_format_is_a_usage_error(runner, tmp_path, args):
+    # the same rule as the --format flag, which accepts only csv and json
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"format": "xml"}')
+    res = invoke(runner, *args, "--config", str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "csv or json" in res.output
+
+
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"x": 1.0, "scheme": "fock-double"}')

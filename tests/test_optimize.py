@@ -4,12 +4,14 @@ Spot values are regression pins; their correctness against brute-force grids
 is established separately in tests/test_acceptance.py.
 """
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityherald import protocol
 from cavityherald.core import CavityParams, with_cooperativity
 from cavityherald.optimize import (
     N_MAX_CEILING,
@@ -18,6 +20,7 @@ from cavityherald.optimize import (
     OptimizationResult,
     Scheme,
     SweepSpec,
+    _largest_feasible,
     default_x_grid,
     optimize,
     optimize_coherent_double,
@@ -106,6 +109,78 @@ def test_coherent_single_result_is_consistent(params):
     out = coherent_single(params, res.phi_opt, res.n_max_opt)
     assert out.p_success == res.p_success
     assert out.fidelity == res.fidelity_achieved
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=1e-3, max_value=1e2),
+       eta=st.floats(min_value=0.01, max_value=1.0),
+       ring=st.one_of(st.none(),
+                      st.tuples(st.floats(min_value=0.05, max_value=1.0),
+                                st.floats(min_value=0.5, max_value=2.0))),
+       phi=st.floats(min_value=1e-4, max_value=math.pi / 2 - 1e-4),
+       f_target=st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
+                          exclude_max=True),
+       guess=st.one_of(st.none(), st.sampled_from([1e-9, N_MAX_CEILING]),
+                       st.floats(min_value=-12.0, max_value=6.0).map(
+                           lambda e: 10.0 ** e)))
+def test_certified_bisection_returns_the_plain_bisection_float(
+        x, eta, ring, phi, f_target, guess):
+    # certified steps skip evaluations only: any guess, good, bad or none,
+    # gives the float the plain bisection gives
+    kw = {} if ring is None else {"g_tilde": ring[0], "kappa_tilde": ring[1]}
+    params = CavityParams.from_cooperativity(x, eta=eta, **kw)
+    r1, r2, lam = protocol._rates(params)
+    prep = protocol.initial_populations(phi)
+
+    def fid(nm):
+        f = protocol._coherent_single_terms(prep.p1, prep.p2, eta * r1,
+                                            eta * r2, lam, nm)[1]
+        return -1.0 if f is None else f
+
+    plain = _largest_feasible(fid, f_target, 1e-13)
+    assert _largest_feasible(fid, f_target, 1e-13, True, guess) == plain
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(protocol, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(protocol, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme, kernel", [
+    (Scheme.FOCK_SINGLE, "fock_single"),
+    (Scheme.FOCK_DOUBLE, "fock_double"),
+    (Scheme.COHERENT_SINGLE, "_coherent_single_terms"),
+    (Scheme.COHERENT_DOUBLE, "_double_click_terms"),
+])
+@pytest.mark.parametrize("params, f_target", [
+    (P1, 0.9),
+    (CavityParams.from_cooperativity(0.3, eta=0.6, f=0.1), 0.97),
+    (CavityParams.from_cooperativity(0.0), 0.9),  # infeasible rows
+], ids=["x1", "x0.3-f", "x0"])
+def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
+                                                params, f_target):
+    calls = _count_calls(monkeypatch, kernel)
+    res = optimize(params, scheme, f_target)
+    assert res.n_evals == len(calls) > 0
+
+
+def test_n_evals_is_hidden_from_repr_and_equality():
+    res = optimize_coherent_single(P1, 0.9)
+    assert "n_evals" not in repr(res)
+    assert dataclasses.replace(res, n_evals=None) == res
+
+
+def test_coherent_single_row_needs_under_2000_evaluations():
+    # the plain bisection made 4,347 kernel calls for this row
+    res = optimize_coherent_single(P1, 0.9)
+    assert res.n_evals < 2000
 
 
 def test_coherent_double_reference_points():
