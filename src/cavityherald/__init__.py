@@ -4,6 +4,10 @@ Closed-form success probabilities and fidelities for Fock- and
 coherent-state heralding schemes, constrained optimizers over the
 preparation parameters, and independent master-equation / quadrature /
 Monte Carlo verification oracles.
+
+The function `optimize` re-exported here shadows the submodule of the same
+name, so `import cavityherald.optimize as m` binds the function; use
+`importlib.import_module("cavityherald.optimize")` to reach the module.
 """
 
 from .core import (

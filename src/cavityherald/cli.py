@@ -202,7 +202,7 @@ def cmd_response(config, x_values, n_values, fmt, out) -> None:
                  "T": transmission_probability(x, n),
                  "lambda": scattering_loss(x, n)}
                 for x in grid for n in ns]
-    except ValueError as exc:  # non-integer atom counts from a config file
+    except ValueError as exc:  # x above X_MAX, or a fractional atom count
         raise click.UsageError(str(exc))
     _write(_render(rows, ["x", "N", "R", "T", "lambda"],
                    cfg.get("format", "csv")), cfg.get("out"))

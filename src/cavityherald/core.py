@@ -17,10 +17,17 @@ def _check_n(n_atoms: int) -> int:
     return int(n_atoms)
 
 
+# Largest cooperativity accepted, far above any real cavity (x ~ 1e2);
+# (1 + 4 N x)^2 overflows float64 above x ~ 3e153. It is 1e100 to one ulp,
+# written as the square of a float so that from_cooperativity(X_MAX)
+# reproduces it exactly.
+X_MAX = 1e50 ** 2
+
+
 def _check_xn(x: float, n_atoms: int) -> int:
-    if not 0.0 <= x < math.inf:
+    if not 0.0 <= x <= X_MAX:
         raise ValueError(
-            f"cooperativity must be nonnegative and finite, got {x}")
+            f"cooperativity must lie in [0, X_MAX = {X_MAX:g}], got {x}")
     return _check_n(n_atoms)
 
 

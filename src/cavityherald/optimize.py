@@ -1,11 +1,15 @@
 """Maximize heralding success probability at a fixed fidelity floor.
 
-The fidelity constraint is monotone in each search variable for every scheme,
-which the optimizers exploit: the constraint is inverted in closed form (Fock
-single) or by bisection on the feasible side (coherent schemes), and the one
-remaining free angle is line-searched by golden section seeded from a coarse
-grid. Everything is derivative-free and deterministic: fixed iteration counts,
-no RNG, so identical inputs give bit-identical results.
+In every scheme the fidelity falls as the success probability rises, so the
+optimum sits on the floor. The optimizers solve for it exactly:
+- Fock single: the floor fixes the angle in closed form;
+- Fock double: the angle is pinned and only feasibility is checked;
+- coherent double: the largest feasible photon budget, by bisection;
+- coherent single: the floor fixes the angle in closed form at every budget,
+  and the success probability on the floor is maximized over the budget
+  from a coarse grid and a bisection on the sign of its derivative.
+Every search is deterministic, with no RNG, so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,19 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocol
-from .core import CavityParams, with_cooperativity
+from .core import X_MAX, CavityParams, with_cooperativity
 from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
-# the computed coherent-single F is within 3.4e-16 of a 40-digit reference
-# wherever F >= 0.5, and the exact F is nonincreasing in n_max, so a point
-# that clears or misses the target by this margin fixes the outcome of every
-# point on its side (see `_certified_bracket`)
-_CERT_MARGIN = 1e-13
-_SEARCH_STEPS = 20  # false-position probes per certified bracket, at most
-_GOLDEN_STEPS = 80
-_COARSE_POINTS = 121
+_COARSE_POINTS = 121  # log-spaced budgets, 10 per decade
 
 STATUS_INFEASIBLE = "infeasible"
 
@@ -78,8 +75,8 @@ class SweepSpec:
             raise ValueError("x_grid must be nonempty")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ValueError("x_grid must be strictly increasing")
-        if not all(0.0 <= x < math.inf for x in self.x_grid):
-            raise ValueError("x_grid must hold finite nonnegative values")
+        if not all(0.0 <= x <= X_MAX for x in self.x_grid):
+            raise ValueError(f"x_grid values must lie in [0, X_MAX = {X_MAX:g}]")
 
 
 def default_x_grid(n_points: int = 40) -> tuple[float, ...]:
@@ -142,173 +139,78 @@ def optimize_fock_double(params: CavityParams,
         p_success=out.p_success, fidelity_achieved=out.fidelity, n_evals=1)
 
 
-def _largest_feasible(fid: Callable[[float], float], f_target: float,
-                      rel_tol: float, certify: bool = False,
-                      guess: float | None = None) -> float | None:
+def _largest_feasible(fid: Callable[[float], float],
+                      f_target: float) -> float | None:
     """Largest n_max in [1e-9, N_MAX_CEILING] with fid(n_max) >= f_target,
     fid nonincreasing; None when 1e-9 already misses. Bisects to float
-    resolution or until hi - lo < rel_tol * max(1, lo).
-
-    With `certify`, midpoints outside a bracket certified by
-    `_certified_bracket` (whose search starts at `guess`) take their known
-    outcome without calling fid; the midpoints, decisions and answer are
-    those of the plain bisection.
-    """
+    adjacency."""
     lo, hi = 1e-9, N_MAX_CEILING
-    f_lo = fid(lo)
-    if f_lo < f_target:
+    if fid(lo) < f_target:
         return None
-    f_hi = fid(hi)
-    if f_hi >= f_target:
+    if fid(hi) >= f_target:
         return hi
-    below, above = lo, hi  # no midpoint reaches either: fid decides all
-    if certify:
-        below, above = _certified_bracket(fid, f_target, f_lo, f_hi, guess)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        if mid <= below or (mid < above and fid(mid) >= f_target):
+            return lo  # feasible endpoint, so achieved F >= target
+        if fid(mid) >= f_target:
             lo = mid
         else:
             hi = mid
-        if hi - lo < rel_tol * max(1.0, lo):
-            break
-    return lo  # feasible endpoint, so achieved F >= target
-
-
-def _certified_bracket(fid: Callable[[float], float], f_target: float,
-                       f_lo: float, f_hi: float,
-                       guess: float | None) -> tuple[float, float]:
-    """(below, above) with fid(below) >= f_target + _CERT_MARGIN and
-    fid(above) <= f_target - _CERT_MARGIN, both evaluated, so a fid that is
-    nonincreasing up to bumps below the margin is feasible at every point
-    <= below and infeasible at every point >= above.
-
-    Illinois false position in u = log(n_max) (Dowell & Jarratt, BIT 11,
-    168 (1971)) from the endpoint values, probing `guess` first, then one
-    probe on each side of the root estimate. A poor guess costs evaluations
-    only: points that miss the margin just do not tighten the bracket.
-    """
-    below, above = 1e-9, N_MAX_CEILING
-
-    def probe(u: float) -> float:
-        nonlocal below, above
-        n = math.exp(u)
-        g = fid(n) - f_target
-        if g >= _CERT_MARGIN:
-            below = max(below, n)
-        elif g <= -_CERT_MARGIN:
-            above = min(above, n)
-        return g
-
-    # (u, g) on each side of the root; w scales a side's g in the false
-    # position, halved while the other side keeps moving (Illinois)
-    u_min, u_max = math.log(below), math.log(above)
-    ua, ga, wa = u_min, f_lo - f_target, 1.0
-    ub, gb, wb = u_max, f_hi - f_target, 1.0
-    u = None
-    if guess is not None and below < guess < above:
-        u = math.log(guess)
-    last = None  # whether the previous probe was feasible
-    for _ in range(_SEARCH_STEPS):
-        if u is None:
-            u = (ua * wb * gb - ub * wa * ga) / (wb * gb - wa * ga)
-            if not ua < u < ub:
-                break
-        g = probe(u)
-        if g >= 0.0:
-            ua, ga, wa = u, g, 1.0
-            if last:
-                wb *= 0.5
-        else:
-            ub, gb, wb = u, g, 1.0
-            if last is False:
-                wa *= 0.5
-        last = g >= 0.0
-        if abs(g) < _CERT_MARGIN:
-            break
-        u = None
-    # the secant root of the bracket, and points about 2 margins off it
-    root = ua - ga * (ub - ua) / (gb - ga)
-    step = 2.0 * _CERT_MARGIN * (ub - ua) / (ga - gb)
-    for u in (root - step, root + step):
-        probe(min(max(u, u_min), u_max))
-    return below, above
 
 
 def optimize_coherent_single(params: CavityParams,
                              f_target: float) -> OptimizationResult:
     """Best (phi, n_max) for the single-click coherent scheme.
 
-    Inner variable: at fixed phi the fidelity is nonincreasing and P_s
-    nondecreasing in n_max, so the best budget is the largest feasible one
-    (bisection, to 1e-13 relative, with certified steps warm-started from the
-    previous phi's budget). Outer variable: coarse grid over phi plus
-    golden-section refinement between the grid neighbors of the best point.
+    At every budget n_max the fidelity falls and P_s rises in t = tan^2(phi),
+    so the best angle puts F exactly on the floor, at the closed-form
+    t*(n_max) of `protocol._coherent_single_floor`. That leaves one variable:
+    P_s on the floor, P*(n_max), is evaluated with its closed-form slope on
+    a coarse log grid, and every grid cell where the slope turns negative
+    is bisected to float adjacency on the slope's sign. The best of these
+    local maxima, the ceiling N_MAX_CEILING when P* still rises there, and
+    the best grid point wins.
     """
     _check_target(f_target)
-    # the rates are fixed for the row and the populations for each phi, so
-    # the bisection evaluates only the closed form itself
+    # the rates are fixed for the row, so each step evaluates only the
+    # closed form itself
     r1, r2, lam = protocol._rates(params)
-    a, b = params.eta * r1, params.eta * r2
-    n_evals = 0
-    guess = None
+    floor = functools.partial(protocol._coherent_single_floor,
+                              params.eta * r1, params.eta * r2, lam, f_target)
+    grid = np.geomspace(1e-9, N_MAX_CEILING, _COARSE_POINTS).tolist()
+    coarse = [floor(nm) for nm in grid]
+    n_evals = len(grid)
+    best = max(range(len(grid)), key=lambda k: coarse[k][1])
+    if coarse[best][1] <= 0.0:  # no budget admits an angle on the floor
+        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
 
-    def budget(phi: float) -> tuple[float | None, Callable[[float], tuple]]:
-        # largest n_max with F >= f_target at phi, and the closed form there
-        nonlocal guess
-        prep = protocol.initial_populations(phi)
-        terms = functools.partial(protocol._coherent_single_terms,
-                                  prep.p1, prep.p2, a, b, lam)
-
-        def fid(nm: float) -> float:
-            nonlocal n_evals
+    # P* rises where it is positive with slope >= 0, so each grid cell where
+    # that stops holds a local maximum, and so does the ceiling if P* still
+    # rises there. P* can have two, a peak and then a plateau approached
+    # from below, so all of them compete, with the best grid point.
+    rising = [ps > 0.0 and slope >= 0.0 for _, ps, slope in coarse]
+    found = []
+    for k in range(len(grid) - 1):
+        if not rising[k] or rising[k + 1]:
+            continue
+        lo, hi, at_lo = grid[k], grid[k + 1], coarse[k]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            at_mid = floor(mid)
             n_evals += 1
-            f = terms(nm)[1]
-            return -1.0 if f is None else f
-
-        # F(n_max) is nonincreasing, F(0+) = p1c(0)
-        nm = _largest_feasible(fid, f_target, 1e-13, True, guess)
-        if nm is not None:
-            guess = nm
-        return nm, terms
-
-    def ps_at(phi: float) -> float:
-        nonlocal n_evals
-        nm, terms = budget(phi)
-        if nm is None:
-            return -1.0
-        n_evals += 1
-        return terms(nm)[0]
-
-    phis = np.linspace(1e-4, math.pi / 2 - 1e-4, _COARSE_POINTS)
-    values = [ps_at(p) for p in phis]
-    best = int(np.argmax(values))
-    if values[best] <= 0.0:
-        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
-
-    lo = phis[max(0, best - 1)]
-    hi = phis[min(len(phis) - 1, best + 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - inv * (hi - lo)
-    c2 = lo + inv * (hi - lo)
-    f1, f2 = ps_at(c1), ps_at(c2)
-    for _ in range(_GOLDEN_STEPS):
-        if f1 < f2:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + inv * (hi - lo)
-            f2 = ps_at(c2)
-        else:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - inv * (hi - lo)
-            f1 = ps_at(c1)
-        if hi - lo < 1e-10:
-            break
-    phi = float(0.5 * (lo + hi))
-    nm, _ = budget(phi)
-    if nm is None:  # golden section cannot leave the feasible bracket
-        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
+            if at_mid[1] > 0.0 and at_mid[2] >= 0.0:
+                lo, at_lo = mid, at_mid
+            else:
+                hi = mid
+        found.append((lo, at_lo))
+    if rising[-1]:
+        found.append((grid[-1], coarse[-1]))
+    found.append((grid[best], coarse[best]))
+    nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
+    phi = math.atan(math.sqrt(t))
     out = protocol.coherent_single(params, phi, nm)
     return OptimizationResult(
         x=params.cooperativity, scheme=Scheme.COHERENT_SINGLE,
@@ -321,10 +223,12 @@ def optimize_coherent_double(params: CavityParams,
                              f_target: float) -> OptimizationResult:
     """Best photon budget for the double-click coherent scheme (phi = pi/4).
 
-    F(n_max) falls monotonically from 1 toward its infinite-budget limit;
-    monotonicity is asserted on a coarse grid before bisecting, per contract.
-    When the limit still clears the target the budget cap is returned and
-    P_s sits on its 1/2 plateau.
+    F(n_max) = 1/2 + 1/2 E[e^{-lambda S} | S <= n_max], with S the Erlang-2
+    photon total, falls from 1 toward its infinite-budget limit: a larger
+    budget adds only mass at S > n_max, where e^{-lambda S} lies below every
+    value already averaged. So the best budget is the largest feasible one,
+    found by bisection. When the limit still clears the target the budget
+    cap is returned and P_s sits on its 1/2 plateau.
     """
     _check_target(f_target)
     r1, _, lam = protocol._rates(params)
@@ -337,17 +241,7 @@ def optimize_coherent_double(params: CavityParams,
         f = protocol._double_click_terms(a, lam, nm)[1]
         return -1.0 if f is None else f
 
-    if fid(1e-9) < 0.0:
-        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
-
-    probe = np.logspace(-6, math.log10(N_MAX_CEILING), 60)
-    fvals = [fid(nm) for nm in probe]
-    if any(b > a + 1e-9 for a, b in zip(fvals, fvals[1:])):
-        raise RuntimeError(
-            "fidelity is not monotone in n_max on the probe grid; "
-            "bisection would be unsound for these parameters")
-
-    nm = _largest_feasible(fid, f_target, 0.0)
+    nm = _largest_feasible(fid, f_target)
     if nm is None:
         return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
     out = protocol.coherent_double(params, nm)

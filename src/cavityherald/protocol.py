@@ -223,29 +223,60 @@ def _coherent_single_terms(p1: float, p2: float, a: float, b: float,
     return ps, p1c_avg / 2.0 + coh, p1c_avg, coh
 
 
+def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
+                           n_max: float) -> tuple[float, float, float]:
+    # (t*, P*, dP*/dn_max) of `coherent_single` on the floor F = f_target,
+    # with t = tan^2(phi), click rates a = eta R1 <= b = eta R2, unvalidated.
+    # With A = 1 - e^{-a n} (click1), B = 1 - e^{-b n} (click2) and
+    # C = a (1 - e^{-(a + lam) n}) / (a + lam) (coh), the populations enter
+    # only through p2/p1 = t/2: F = (A + C) / (2A + tB) falls in t while
+    # P_s = (2tA + t^2 B) / (1 + t)^2 rises in t (its t-derivative is
+    # 2 (A + t (B - A)) / (1 + t)^3 and B >= A), so the best angle at budget
+    # n sits on the floor, t* = ((A + C)/f_target - 2A) / B. P* and its
+    # slope are 0 where no angle meets the floor (t* <= 0).
+    click1 = -math.expm1(-a * n_max)
+    click2 = -math.expm1(-b * n_max)
+    if click2 == 0.0:
+        return 0.0, 0.0, 0.0
+    # b > 0 means x > 0, so lam > 0
+    coh = a * -math.expm1(-(a + lam) * n_max) / (a + lam)
+    t = ((click1 + coh) / f_target - 2.0 * click1) / click2
+    if t <= 0.0:
+        return t, 0.0, 0.0
+    # d/dn of A, B and C
+    d1 = a * math.exp(-a * n_max)
+    d2 = b * math.exp(-b * n_max)
+    dcoh = a * math.exp(-(a + lam) * n_max)
+    dt = ((d1 + dcoh) / f_target - 2.0 * d1 - t * d2) / click2
+    s = 1.0 + t
+    ps = t * (2.0 * click1 + t * click2) / (s * s)
+    slope = (2.0 * (click1 + t * (click2 - click1)) / (s * s * s) * dt
+             + t * (2.0 * d1 + t * d2) / (s * s))
+    return t, ps, slope
+
+
+# (-1)^k (k - 1) / k! for k = 17 down to 2: below z = 1/2 the terms past
+# k = 17 are under 1e-17 of the sum
+_ERLANG2_SERIES = tuple((-1) ** k * (k - 1) / math.factorial(k)
+                        for k in range(17, 1, -1))
+
+
 def _erlang2_cdf(z: float) -> float:
     """P(n1 + n2 <= z) for two unit-rate exponentials: 1 - (1 + z) e^{-z}.
 
-    The direct form loses all precision below z ~ 1e-3 (it returns exactly 0
-    at z ~ 1e-13 in float64), so small arguments use the alternating series
-    sum_{k>=2} (-1)^k z^k (k-1) / k! = z^2/2 - z^3/3 + z^4/8 - ...
+    The direct form cancels for small z (its relative error is about 5e-13
+    at z = 1e-3, and it returns exactly 0 at z ~ 1e-13 in float64), so
+    arguments below 1/2 use the alternating series
+    sum_{k>=2} (-1)^k z^k (k-1) / k! = z^2/2 - z^3/3 + z^4/8 - ...,
+    summed by Horner's rule.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
-    if z < 1e-3:
+    if z < 0.5:
         total = 0.0
-        zk = z * z
-        fact = 2.0
-        sign = 1.0
-        for k in range(2, 24):
-            term = zk * (k - 1) / fact
-            total += sign * term
-            if term <= 1e-17 * total:
-                break
-            zk *= z
-            fact *= k + 1
-            sign = -sign
-        return total
+        for coef in _ERLANG2_SERIES:
+            total = total * z + coef
+        return total * z * z
     return -math.expm1(-z) - z * math.exp(-z)
 
 
@@ -254,7 +285,9 @@ def _double_click_terms(a: float, lam: float,
     # (P_s, F of `coherent_double` or None when P_s = 0, Erlang-2 coherence
     # integral a^2 * E-term) at click rate a = eta R1, unvalidated
     ps = 0.5 * _erlang2_cdf(a * n_max)
-    if a + lam > 0:
+    # guard on a, not on a + lam: at tiny cooperativity (a + lam)^2
+    # underflows to 0 where a, about eta lam^2 / 4, is already 0
+    if a > 0:
         coh = a * a * _erlang2_cdf((a + lam) * n_max) / (a + lam) ** 2
     else:
         coh = 0.0

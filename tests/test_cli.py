@@ -174,6 +174,28 @@ def test_non_finite_input_is_a_usage_error(runner, args):
     assert res.stdout == ""  # no row, NaN or otherwise
 
 
+@pytest.mark.parametrize("args", [
+    ("response", "--x", "1e200", "--n", "1"),
+    ("protocol", "--scheme", "fock-single", "--x", "1e200", "--phi", "0.5"),
+    ("protocol", "--scheme", "coherent-double", "--x", "1e200",
+     "--n-max", "1"),
+    ("optimize", "--scheme", "coherent-single", "--x", "1e200",
+     "--f-target", "0.9"),
+])
+def test_cooperativity_above_x_max_is_a_usage_error(runner, args):
+    # (1 + 4 N x)^2 would overflow near x = 3e153
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "X_MAX" in res.output
+
+
+def test_cooperativity_at_x_max_is_accepted(runner):
+    res = invoke(runner, "response", "--x", "1e100", "--n", "2")
+    assert res.exit_code == 0
+    assert res.stdout == "x,N,R,T,lambda\n1e+100,2,1.0,1.5625e-202,2.5e-101\n"
+
+
 # --------------------------------------------------------------------- config
 
 @pytest.mark.parametrize("args, config", [

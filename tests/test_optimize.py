@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityherald import protocol
-from cavityherald.core import CavityParams, with_cooperativity
+from cavityherald.core import X_MAX, CavityParams, with_cooperativity
 from cavityherald.optimize import (
     N_MAX_CEILING,
     STATUS_INFEASIBLE,
@@ -20,7 +20,6 @@ from cavityherald.optimize import (
     OptimizationResult,
     Scheme,
     SweepSpec,
-    _largest_feasible,
     default_x_grid,
     optimize,
     optimize_coherent_double,
@@ -89,12 +88,28 @@ def test_infeasible_row_shape():
 
 
 def test_coherent_single_reference_point():
+    # the 40-digit optimum at the float target 0.9 (mpmath): the maximum of
+    # P_s over n_max with the angle on the floor
     res = optimize_coherent_single(P1, 0.9)
     assert res.status == STATUS_OK
-    assert math.isclose(res.phi_opt, 0.29227113316394515, rel_tol=1e-9)
-    assert math.isclose(res.n_max_opt, 0.7683445613293236, rel_tol=1e-9)
-    assert math.isclose(res.p_success, 0.06227664041215489, rel_tol=1e-10)
-    assert res.fidelity_achieved >= 0.9 - 1e-9
+    assert math.isclose(res.phi_opt, 0.29227112218741943568, rel_tol=1e-12)
+    assert math.isclose(res.n_max_opt, 0.76834463137483473945, rel_tol=1e-12)
+    assert math.isclose(res.p_success, 0.062276640412156399471, rel_tol=1e-12)
+    assert res.fidelity_achieved >= 0.9 - 1e-13
+
+
+def test_coherent_single_finds_a_peak_between_grid_points():
+    # P_s on the floor peaks near n_max = 27.9, dips, and then rises toward
+    # a plateau 1e-5 lower. The grid points beside the peak (25.1 and 31.6)
+    # both lie below that plateau, so the best grid point is in the wrong
+    # basin. 50-digit optimum from mpmath.
+    params = CavityParams.from_cooperativity(
+        7.05383318137887, eta=0.21265727661162592,
+        g_tilde=0.5582157193928392, kappa_tilde=0.9263767816751212)
+    res = optimize_coherent_single(params, 0.6420543818859943)
+    assert math.isclose(res.n_max_opt, 27.914033082836800953, rel_tol=1e-12)
+    assert math.isclose(res.phi_opt, 0.58366415039489502883, rel_tol=1e-12)
+    assert math.isclose(res.p_success, 0.51208752641674617246, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("params", [
@@ -111,34 +126,52 @@ def test_coherent_single_result_is_consistent(params):
     assert out.fidelity == res.fidelity_achieved
 
 
+ring_sets = st.one_of(st.none(),
+                     st.tuples(st.floats(min_value=0.05, max_value=1.0),
+                               st.floats(min_value=0.5, max_value=2.0)))
+
+
+def _params(x, eta, ring):
+    kw = {} if ring is None else {"g_tilde": ring[0], "kappa_tilde": ring[1]}
+    return CavityParams.from_cooperativity(x, eta=eta, **kw)
+
+
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(min_value=1e-3, max_value=1e2),
-       eta=st.floats(min_value=0.01, max_value=1.0),
-       ring=st.one_of(st.none(),
-                      st.tuples(st.floats(min_value=0.05, max_value=1.0),
-                                st.floats(min_value=0.5, max_value=2.0))),
-       phi=st.floats(min_value=1e-4, max_value=math.pi / 2 - 1e-4),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
        f_target=st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
                           exclude_max=True),
-       guess=st.one_of(st.none(), st.sampled_from([1e-9, N_MAX_CEILING]),
-                       st.floats(min_value=-12.0, max_value=6.0).map(
-                           lambda e: 10.0 ** e)))
-def test_certified_bisection_returns_the_plain_bisection_float(
-        x, eta, ring, phi, f_target, guess):
-    # certified steps skip evaluations only: any guess, good, bad or none,
-    # gives the float the plain bisection gives
-    kw = {} if ring is None else {"g_tilde": ring[0], "kappa_tilde": ring[1]}
-    params = CavityParams.from_cooperativity(x, eta=eta, **kw)
+       n_max=st.floats(min_value=-9.0, max_value=3.0).map(lambda e: 10.0 ** e))
+def test_floor_angle_puts_fidelity_on_the_floor(x, eta, ring, f_target,
+                                                n_max):
+    params = _params(x, eta, ring)
     r1, r2, lam = protocol._rates(params)
-    prep = protocol.initial_populations(phi)
+    t, ps, _ = protocol._coherent_single_floor(eta * r1, eta * r2, lam,
+                                               f_target, n_max)
+    if t > 0.0:
+        out = coherent_single(params, math.atan(math.sqrt(t)), n_max)
+        assert abs(out.fidelity - f_target) < 1e-13
+        assert math.isclose(out.p_success, ps, rel_tol=1e-12)
+    else:  # even the smallest angle misses the floor
+        assert ps == 0.0
+        assert coherent_single(params, 1e-6, n_max).fidelity < f_target
 
-    def fid(nm):
-        f = protocol._coherent_single_terms(prep.p1, prep.p2, eta * r1,
-                                            eta * r2, lam, nm)[1]
-        return -1.0 if f is None else f
 
-    plain = _largest_feasible(fid, f_target, 1e-13)
-    assert _largest_feasible(fid, f_target, 1e-13, True, guess) == plain
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(min_value=1e-3, max_value=1e2),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
+       f_target=st.floats(min_value=0.51, max_value=0.99))
+def test_floor_angle_tends_to_the_fock_single_angle(x, eta, ring, f_target):
+    # as n_max -> 0 every click comes before any decoherence, so the floor
+    # angle is the Fock-single one, tan^2(phi) = 2 (R1/R2) (1 - F) / F
+    params = _params(x, eta, ring)
+    r1, r2, lam = protocol._rates(params)
+    t = protocol._coherent_single_floor(eta * r1, eta * r2, lam, f_target,
+                                        1e-12)[0]
+    fock = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
+    assert math.isclose(t, fock, rel_tol=1e-9)
+    fock_phi = optimize_fock_single(params, f_target).phi_opt
+    assert math.isclose(math.atan(math.sqrt(t)), fock_phi, rel_tol=1e-9)
 
 
 def _count_calls(monkeypatch, name):
@@ -156,7 +189,9 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("scheme, kernel", [
     (Scheme.FOCK_SINGLE, "fock_single"),
     (Scheme.FOCK_DOUBLE, "fock_double"),
-    (Scheme.COHERENT_SINGLE, "_coherent_single_terms"),
+    # the search calls the floor kernel, the final answer `coherent_single`
+    (Scheme.COHERENT_SINGLE,
+     "_coherent_single_floor+_coherent_single_terms"),
     (Scheme.COHERENT_DOUBLE, "_double_click_terms"),
 ])
 @pytest.mark.parametrize("params, f_target", [
@@ -166,9 +201,9 @@ def _count_calls(monkeypatch, name):
 ], ids=["x1", "x0.3-f", "x0"])
 def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
                                                 params, f_target):
-    calls = _count_calls(monkeypatch, kernel)
+    calls = [_count_calls(monkeypatch, name) for name in kernel.split("+")]
     res = optimize(params, scheme, f_target)
-    assert res.n_evals == len(calls) > 0
+    assert res.n_evals == sum(map(len, calls)) > 0
 
 
 def test_n_evals_is_hidden_from_repr_and_equality():
@@ -178,9 +213,10 @@ def test_n_evals_is_hidden_from_repr_and_equality():
 
 
 def test_coherent_single_row_needs_under_2000_evaluations():
-    # the plain bisection made 4,347 kernel calls for this row
+    # 121 grid points, about 50 bisection steps to float adjacency and the
+    # final evaluation
     res = optimize_coherent_single(P1, 0.9)
-    assert res.n_evals < 2000
+    assert res.n_evals < 300
 
 
 def test_coherent_double_reference_points():
@@ -222,6 +258,22 @@ def test_coherent_double_saturation(f_target):
         # constraint active: a slightly larger budget would violate it
         probe = coherent_double(P1, res.n_max_opt * (1 + 1e-6))
         assert probe.fidelity < f_target + 1e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(min_value=1e-3, max_value=1e2),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
+       budgets=st.lists(st.floats(min_value=-9.0, max_value=3.0),
+                        min_size=2, max_size=20))
+def test_coherent_double_fidelity_is_nonincreasing_in_budget(x, eta, ring,
+                                                             budgets):
+    # F = 1/2 + 1/2 E[e^{-lambda S} | S <= n_max]: a larger budget only adds
+    # photon totals S with a smaller e^{-lambda S}, which the budget
+    # bisection relies on. Budgets an ulp apart may round up to 3 ulps.
+    params = _params(x, eta, ring)
+    fids = [coherent_double(params, 10.0 ** e).fidelity
+            for e in sorted(budgets)]
+    assert all(b <= a + 1e-15 for a, b in zip(fids, fids[1:]))
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.6])
@@ -283,3 +335,45 @@ def test_sweep_keeps_requested_grid_and_order():
     assert [r.x for r in rows] == [0.1, 0.7, 1.3]
     assert all(r.eta == 0.5 for r in rows)
     assert all(r.status == STATUS_OK for r in rows)
+
+
+@pytest.mark.parametrize("scheme, status", [
+    (Scheme.FOCK_DOUBLE, STATUS_OK),
+    (Scheme.COHERENT_SINGLE, STATUS_INFEASIBLE),
+    (Scheme.COHERENT_DOUBLE, STATUS_INFEASIBLE),
+])
+def test_sweep_survives_vanishing_cooperativity(scheme, status):
+    # R1 ~ 16 x^2 underflows to 0 (or a subnormal) here; the rows must come
+    # back with a status, not a ZeroDivisionError
+    rows = sweep(SweepSpec(x_grid=(1e-300, 1e-200, 1e-160), eta=1.0,
+                           f_target=0.9, scheme=scheme))
+    assert [r.status for r in rows] == [status] * 3
+    assert all(r.p_success == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-200, 1e-160, 1e-12, 1e12,
+                               X_MAX])
+@pytest.mark.parametrize("eta", [0.0, 0.01, 1.0])
+def test_optimizers_return_a_row_at_extreme_cooperativities(x, eta):
+    params = CavityParams.from_cooperativity(x, eta=eta)
+    for scheme in Scheme:
+        if scheme is Scheme.FOCK_SINGLE and x == 1e-160:
+            continue  # its constraint inversion still fails here
+        res = optimize(params, scheme, 0.9)
+        assert res.status in (STATUS_OK, STATUS_INFEASIBLE)
+        if res.status == STATUS_OK:
+            assert 0.0 <= res.p_success <= 1.0
+            assert res.fidelity_achieved >= 0.9 - 1e-13
+
+
+def test_cooperativity_is_bounded_at_x_max():
+    assert CavityParams.from_cooperativity(X_MAX).cooperativity == X_MAX
+    SweepSpec(x_grid=(X_MAX,), eta=1.0, f_target=0.9,
+              scheme=Scheme.FOCK_SINGLE)
+    with pytest.raises(ValueError, match="X_MAX"):
+        SweepSpec(x_grid=(1.0, 1e200), eta=1.0, f_target=0.9,
+                  scheme=Scheme.FOCK_SINGLE)
+    huge = CavityParams.from_cooperativity(1e200)
+    for scheme in Scheme:
+        with pytest.raises(ValueError, match="X_MAX"):
+            optimize(huge, scheme, 0.9)

@@ -317,8 +317,8 @@ def test_erlang2_cdf_small_argument():
 
 
 def test_erlang2_cdf_branch_continuity():
-    # direct formula loses ~6 digits to cancellation near the switch point,
-    # so agreement caps out around 1e-9 relative
+    # the direct formula loses ~6 digits to cancellation near z = 1e-3, so
+    # agreement with it caps out around 1e-9 relative
     for z in (9.999e-4, 1.0001e-3):
         direct = 1.0 - math.exp(-z) * (1.0 + z)
         assert math.isclose(_erlang2_cdf(z), direct, rel_tol=1e-9)
@@ -327,3 +327,18 @@ def test_erlang2_cdf_branch_continuity():
 def test_erlang2_cdf_moderate_argument():
     assert math.isclose(_erlang2_cdf(2.0), 1.0 - math.exp(-2.0) * 3.0,
                         rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("z, exact", [
+    (1e-3, 4.996667916333402973833506112515627029695e-7),
+    (2.5e-3, 3.119796546225653157775506543032840634755e-6),
+    (0.01, 4.966791334026589241591827495301681425544e-5),
+    (0.1, 4.678840160444470021611702131869833215616e-3),
+    (0.3, 3.693631311376677164564374989878757801129e-2),
+    (0.4999, 9.017368541454252452748893571940021926085e-2),
+    (0.5, 9.020401043104986459430069751322931983712e-2),
+])
+def test_erlang2_cdf_matches_40_digit_values(z, exact):
+    # 1 - (1 + z) e^{-z} in 40-digit arithmetic (mpmath), on both sides of
+    # the switch from the series to the direct form at z = 1/2
+    assert math.isclose(_erlang2_cdf(z), exact, rel_tol=1e-15)
