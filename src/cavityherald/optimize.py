@@ -18,6 +18,7 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -104,12 +105,15 @@ def optimize_fock_single(params: CavityParams,
     F = 1 / (1 + tan^2(phi) R2 / (2 R1)) is strictly decreasing in phi while
     P_s grows with p1, so the optimum sits exactly on the constraint:
     tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F.
+
+    A subnormal R1 (x below about 3.7e-155) keeps too few digits for that
+    inversion; such a row is infeasible, like R1 = 0.
     """
     _check_target(f_target)
     out0 = protocol.fock_single(params, math.pi / 4)
-    if out0.status != protocol.STATUS_OK:
-        return _infeasible(params, Scheme.FOCK_SINGLE, f_target, 1)
     r1, r2, _ = protocol._rates(params)
+    if out0.status != protocol.STATUS_OK or r1 < sys.float_info.min:
+        return _infeasible(params, Scheme.FOCK_SINGLE, f_target, 1)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
     check = protocol.fock_single(params, phi)

@@ -37,6 +37,10 @@ P1 = CavityParams.from_cooperativity(1.0)
 def test_build_system_validation():
     with pytest.raises(ValueError):
         build_system(P1, 3)  # at most two atoms in the coupled state
+    with pytest.raises(ValueError, match="g_tilde"):
+        # no counter-propagating mode in the master equation
+        build_system(CavityParams.from_cooperativity(
+            1.0, g_tilde=1.0, kappa_tilde=1.0), 1)
     with pytest.raises(ValueError):
         build_system(P1, 1, n_c=0)
     with pytest.raises(ValueError):
@@ -82,6 +86,29 @@ def test_steady_state_matches_closed_forms(n_atoms, x):
     # flux bookkeeping is an operator identity in steady state, so the sum
     # closes to round-off, far below the O(drive) model deviation
     assert abs(r + t + loss - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("params, n_atoms, expected", [
+    (P1, 1, (0.6398064778298965, 0.04014804357785934, 0.3200454785922439)),
+    (with_cooperativity(P1, 0.25), 2,
+     (0.4443061372289541, 0.1112099618002473, 0.44448390097078166)),
+    (CavityParams.from_cooperativity(1.0, delta=0.7), 1,
+     (0.5932776292801457, 0.10995847651168793, 0.2967638942081667)),
+    (CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8), 1,
+     (0.8463548414930734, 0.025637878808488508, 0.12800727969843836)),
+])
+def test_steady_state_pinned_values(params, n_atoms, expected):
+    # frozen outputs of the master equation at the default flux and n_c
+    observed = steady_state_rt(build_system(params, n_atoms))
+    for o, e in zip(observed, expected):
+        assert math.isclose(o, e, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("x, expected", [(0.25, 0.0004999581552514122),
+                                         (1.0, 0.0003200204285776171)])
+def test_coherence_decay_pinned_values(x, expected):
+    rate = coherence_decay_rate(build_system(with_cooperativity(P1, x), 1))
+    assert math.isclose(rate, expected, rel_tol=1e-12)
 
 
 def test_steady_state_time_integration_fallback(monkeypatch):
@@ -145,6 +172,16 @@ def test_monte_carlo_reproducible_and_seed_sensitive():
 def test_monte_carlo_brackets_closed_form():
     mc = monte_carlo_double(P1, 2.0, 200_000, 3)
     closed = coherent_double(P1, 2.0)
+    assert abs(mc.p_success - closed.p_success) < 4 * mc.p_success_err
+    assert abs(mc.fidelity - closed.fidelity) < 4 * mc.fidelity_err
+
+
+def test_monte_carlo_samples_ring_rates():
+    # g_tilde = g, kappa_tilde = kappa: the effective cooperativity is 1/5,
+    # which cuts P_s from about 0.18 to about 0.03
+    ring = CavityParams.from_cooperativity(1.0, g_tilde=1.0, kappa_tilde=1.0)
+    mc = monte_carlo_double(ring, 2.0, 200_000, 3)
+    closed = coherent_double(ring, 2.0)
     assert abs(mc.p_success - closed.p_success) < 4 * mc.p_success_err
     assert abs(mc.fidelity - closed.fidelity) < 4 * mc.fidelity_err
 
