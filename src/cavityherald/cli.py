@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
 
 import click
-import numpy as np
 
 from .core import (
     CavityParams,
@@ -24,7 +24,8 @@ from .core import (
     scattering_loss,
     transmission_probability,
 )
-from .optimize import SCHEMES, Scheme, SweepSpec, default_x_grid, sweep
+from .optimize import (SCHEMES, Scheme, SweepSpec, _linspace, default_x_grid,
+                       sweep)
 from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
 _PARAM_KEYS = {"x", "g", "kappa_a", "kappa_b", "gamma", "delta", "eta", "f",
@@ -49,18 +50,16 @@ def _fmt_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return _fmt_float(float(value))
 
 
 def _jsonable(value):
-    if value is None or isinstance(value, (str, bool)):
+    if value is None or isinstance(value, (str, int)):  # bool is an int
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     value = float(value)
     return None if math.isnan(value) else value
 
@@ -243,7 +242,7 @@ def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
         points = cfg.get("omega_points", 201)
         if points < 1 or not -math.inf < start <= stop < math.inf:
             raise click.UsageError("invalid omega range")
-        omegas = list(np.linspace(start, stop, points))
+        omegas = _linspace(start, stop, points)
     elif not all(map(math.isfinite, omegas)):
         raise click.UsageError("omega values must be finite")
 
@@ -377,7 +376,10 @@ def cmd_verify(ctx, config, seed, samples, tolerance_scale, out) -> None:
                   tolerance_scale=tolerance_scale, out=out)
     if cfg.get("samples", 1_000_000) < 10_000:
         raise click.UsageError("need at least 1e4 samples")
-    from .oracle import run_verification_suite  # scipy loads only here
+    # numpy and scipy load only here, so a thread count set now still
+    # reaches BLAS; the oracle's small dense products stall on two threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .oracle import run_verification_suite
     report = run_verification_suite(
         seed=cfg.get("seed", 20240817),
         samples=cfg.get("samples", 1_000_000),

@@ -23,15 +23,12 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import protocol
 from .core import X_MAX, CavityParams, with_cooperativity
 from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
-_COARSE_POINTS = 121  # log-spaced budgets, 10 per decade
 
 STATUS_INFEASIBLE = "infeasible"
 
@@ -80,9 +77,29 @@ class SweepSpec:
             raise ValueError(f"x_grid values must lie in [0, X_MAX = {X_MAX:g}]")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from start to stop inclusive, by the
+    arithmetic of np.linspace, so the two agree bit for bit."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num < 2:
+        return [0.0 * delta + start] * num
+    step = delta / (num - 1)
+    if step == 0.0:  # the step underflowed: scale by k / (num - 1) instead
+        return [k / (num - 1) * delta + start for k in range(num - 1)] + [stop]
+    return [k * step + start for k in range(num - 1)] + [stop]
+
+
 def default_x_grid(n_points: int = 40) -> tuple[float, ...]:
-    """Log-spaced cooperativity grid covering the regime of interest."""
-    return tuple(np.logspace(math.log10(0.05), math.log10(2.0), n_points))
+    """Log-spaced cooperativity grid covering the regime of interest, as
+    Python floats (not np.float64) within one ulp of np.logspace."""
+    return tuple(10.0 ** y for y in _linspace(math.log10(0.05),
+                                              math.log10(2.0), n_points))
+
+
+# coherent-single budgets: 121 log-spaced, 10 per decade, exact endpoints
+_COARSE_GRID = (1e-9, *[10.0 ** y for y in _linspace(
+    -9.0, math.log10(N_MAX_CEILING), 121)[1:-1]], N_MAX_CEILING)
 
 
 def _check_target(f_target: float) -> None:
@@ -182,7 +199,7 @@ def optimize_coherent_single(params: CavityParams,
     r1, r2, lam = protocol._rates(params)
     floor = functools.partial(protocol._coherent_single_floor,
                               params.eta * r1, params.eta * r2, lam, f_target)
-    grid = np.geomspace(1e-9, N_MAX_CEILING, _COARSE_POINTS).tolist()
+    grid = _COARSE_GRID
     coarse = [floor(nm) for nm in grid]
     n_evals = len(grid)
     best = max(range(len(grid)), key=lambda k: coarse[k][1])

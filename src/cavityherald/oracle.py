@@ -281,8 +281,11 @@ def coherence_decay_rate(system: LindbladSystem,
     i.e. after the cavity ring-up transient, and returns the decay rate
     (positive sign). The closed-form prediction is lambda * Phi.
     """
-    if system.drive_flux == 0:
-        return 0.0  # no light, closed transition: xi is constant
+    p = system.params
+    lam = scattering_loss(p.cooperativity, 1)
+    if system.drive_flux == 0 or lam == 0:
+        # no light, or atoms uncoupled from the cavity: xi is constant
+        return 0.0
 
     sel_a = _sector(system, (1, 2), (0,))
     sel_b = _sector(system, (0,), (1, 2))
@@ -295,8 +298,6 @@ def coherence_decay_rate(system: LindbladSystem,
     vec = np.zeros(dim_a * len(sel_b), dtype=complex)
     vec[0] = 0.5
 
-    p = system.params
-    lam = scattering_loss(p.cooperativity, 1)
     t0 = 10.0 / p.kappa
     t1 = t0 + 5.0 / (lam * system.drive_flux)
     times = np.linspace(t0, t1, n_times)

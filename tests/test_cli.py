@@ -342,19 +342,56 @@ def test_optimize_writes_file_not_stdout(runner, tmp_path):
 
 # --------------------------------------------------------------------- verify
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the scipy-based oracle loads on first use, which only `verify` makes
-    probe = ("import sys, cavityherald, cavityherald.cli\n"
-             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-             "assert (cavityherald.run_verification_suite\n"
-             "        is cavityherald.oracle.run_verification_suite)\n")
+def _run_python(code, *args):
     src = str(pathlib.Path(cavityherald.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy and scipy load with the oracle on first use, which only `verify`
+    # makes
+    probe = ("import sys, cavityherald, cavityherald.cli\n"
+             "assert not [m for m in sys.modules\n"
+             "            if m.split('.')[0] in ('numpy', 'scipy')]\n"
+             "assert (cavityherald.run_verification_suite\n"
+             "        is cavityherald.oracle.run_verification_suite)\n")
+    proc = _run_python(probe)
     assert proc.returncode == 0, proc.stderr
+
+
+_NUMPY_FREE_COMMANDS = [
+    ["response"],
+    ["spectrum", "--x", "0.7", "--n", "2", "--omega-start", "-3",
+     "--omega-stop", "5", "--omega-points", "41"],
+    *(["protocol", "--scheme", scheme, "--x", "0.7", "--eta", "0.9",
+       "--phi", "0.6", "--n-max", "1.5"]
+      for scheme in ("fock-single", "fock-double", "coherent-single",
+                     "coherent-double")),
+    ["optimize", "--scheme", "coherent-single", "--f-target", "0.9"],
+    ["optimize", "--scheme", "coherent-double", "--x", "0.3", "--x", "1.2",
+     "--eta", "0.8", "--f-target", "0.85", "--format", "json"],
+]
+
+
+def test_commands_but_verify_run_without_numpy(runner):
+    # a None entry in sys.modules makes every numpy import raise ImportError
+    probe = ("import json, sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from click.testing import CliRunner\n"
+             "from cavityherald.cli import main\n"
+             "results = [CliRunner().invoke(main, args)\n"
+             "           for args in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([[r.exit_code, r.output] for r in results]))\n")
+    proc = _run_python(probe, json.dumps(_NUMPY_FREE_COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    for args, (code, output) in zip(_NUMPY_FREE_COMMANDS, blocked, strict=True):
+        assert code == 0, (args, output)
+        assert output == invoke(runner, *args).output, args
 
 
 def test_verify_passes_and_reports_json(runner):

@@ -7,19 +7,22 @@ is established separately in tests/test_acceptance.py.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityherald import protocol
 from cavityherald.core import X_MAX, CavityParams, with_cooperativity
 from cavityherald.optimize import (
+    _COARSE_GRID,
     N_MAX_CEILING,
     STATUS_INFEASIBLE,
     STATUS_OK,
     OptimizationResult,
     Scheme,
     SweepSpec,
+    _linspace,
     default_x_grid,
     optimize,
     optimize_coherent_double,
@@ -307,6 +310,40 @@ def test_default_grid_shape():
     assert math.isclose(grid[0], 0.05, rel_tol=1e-12)
     assert math.isclose(grid[-1], 2.0, rel_tol=1e-12)
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def _within_one_ulp(ours, numpy_values):
+    return len(ours) == len(numpy_values) and all(
+        a in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+        for a, b in zip(ours, numpy_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.integers(0, 300), st.booleans())
+@example(0.0, 5e-324, 3, False)  # the step underflows to 0
+@example(-0.0, 0.0, 1, False)
+@example(-1.5, 2.5, 2, False)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num, same):
+    # covers num = 0, 1, 2, start == stop, signed zeros and subnormal steps
+    if same:
+        stop = start
+    ours = _linspace(start, stop, num)
+    assert all(type(v) is float for v in ours)
+    assert ([v.hex() for v in ours]
+            == [v.hex() for v in np.linspace(start, stop, num).tolist()])
+
+
+def test_coarse_grid_against_geomspace():
+    reference = np.geomspace(1e-9, N_MAX_CEILING, 121).tolist()
+    assert _COARSE_GRID[0] == 1e-9 and _COARSE_GRID[-1] == N_MAX_CEILING
+    assert _within_one_ulp(_COARSE_GRID, reference)
+
+
+def test_default_grid_against_logspace():
+    for n in (1, 2, 40, 97):
+        reference = np.logspace(math.log10(0.05), math.log10(2.0), n).tolist()
+        assert _within_one_ulp(default_x_grid(n), reference)
 
 
 def test_sweep_spec_validation():

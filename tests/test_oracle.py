@@ -140,6 +140,14 @@ def test_coherence_survives_without_drive():
     assert coherence_decay_rate(sys_dark) == 0.0
 
 
+def test_coherence_survives_uncoupled_atoms_under_drive():
+    # at x = 0 the loss rate is 0, so the fit window 5 / (lambda Phi) is
+    # unbounded; the atoms never see the light and xi stays constant
+    system = build_system(CavityParams.from_cooperativity(0.0), 1,
+                          drive_flux=1e-3)
+    assert coherence_decay_rate(system) == 0.0
+
+
 def test_quadrature_agrees_with_closed_form():
     for x, eta, phi, nm in [(1.0, 1.0, math.pi / 4, 1.0),
                             (0.3, 0.6, 0.5, 2.5)]:
