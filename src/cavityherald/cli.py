@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: response | spectrum | protocol | optimize | verify. Every
-subcommand accepts a JSON config file plus flags (flags win), validates its
-inputs before computing anything, and emits CSV or JSON with 12-significant-
-digit floats. Identical config and seed give byte-identical output.
+Subcommands: response | spectrum | protocol | optimize | verify. Each one
+reads its settings through `_settings`, from a JSON config file keyed by the
+flags' own names (x_grid, n_values, n_atoms, omega_grid and f name the
+flags --x, --n, --omega and --f-spurious) with every given flag winning,
+validates them before computing anything, and writes its rows through
+`_emit` as CSV or JSON with 12-significant-digit floats. Identical config
+and seed give byte-identical output.
 
 Exit codes: 0 success, 1 verification/optimization failure, 2 usage error.
 """
@@ -28,12 +31,12 @@ from .optimize import (SCHEMES, Scheme, SweepSpec, _linspace, default_x_grid,
                        sweep)
 from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
-_PARAM_KEYS = {"x", "g", "kappa_a", "kappa_b", "gamma", "delta", "eta", "f",
-               "g_tilde", "kappa_tilde"}
+_PARAM_KEYS = frozenset({"x", "g", "kappa_a", "kappa_b", "gamma", "delta",
+                         "eta", "f", "g_tilde", "kappa_tilde"})
 _RAW_KEYS = {"g", "kappa_a", "kappa_b", "gamma"}
 # the JSON type each config key must have; every other key is one number
 _TEXT_KEYS = {"scheme", "format", "out"}
-_GRID_KEYS = {"x_grid", "n_values", "omega_grid"}
+_GRID_KEYS = ("x_grid", "n_values", "omega_grid")  # checked in this order
 _COUNT_KEYS = {"omega_points", "seed", "samples"}
 
 
@@ -64,37 +67,45 @@ def _jsonable(value):
     return None if math.isnan(value) else value
 
 
-def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
-    if fmt == "json":
+def _emit(rows: list[dict], cfg: dict) -> None:
+    """Write the rows as JSON, or as CSV with columns in the rows' key
+    order."""
+    if cfg.get("format") == "json":
         clean = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
-        return json.dumps(clean, indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+        text = json.dumps(clean, indent=2) + "\n"
+    else:
+        lines = [",".join(rows[0])]
+        lines += [",".join(map(_fmt_cell, row.values())) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write(text, cfg)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        pathlib.Path(out).write_text(text)
+def _write(text: str, cfg: dict) -> None:
+    if cfg.get("out"):
+        pathlib.Path(cfg["out"]).write_text(text)
     else:
         click.echo(text, nl=False)
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config: {exc}")
-    if not isinstance(config, dict):
-        raise click.UsageError("config must be a JSON object")
-    unknown = set(config) - allowed
+def _settings(config: str | None, keys: frozenset[str] = frozenset(),
+              **flags) -> dict:
+    """A command's settings: the JSON config file, which may hold `keys` and
+    the flags' own names, overridden by every flag given. Repeatable flags
+    become lists. A config value of the wrong type, or an empty grid, is a
+    usage error."""
+    cfg = {}
+    if config is not None:
+        try:
+            cfg = json.loads(pathlib.Path(config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise click.UsageError(f"cannot read config: {exc}")
+        if not isinstance(cfg, dict):
+            raise click.UsageError("config must be a JSON object")
+    unknown = set(cfg) - keys - set(flags)
     if unknown:
         raise click.UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, value in config.items():
+    for key, value in cfg.items():
         if key in _TEXT_KEYS:
             ok = isinstance(value, str)
         elif key in _GRID_KEYS:
@@ -106,22 +117,22 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
         if not ok:
             raise click.UsageError(
                 f"config value of {key} has the wrong type: {value!r}")
-    if config.get("format", "csv") not in ("csv", "json"):
+    if cfg.get("format", "csv") not in ("csv", "json"):
         raise click.UsageError(
-            f"config format must be csv or json, got {config['format']!r}")
-    return config
+            f"config format must be csv or json, got {cfg['format']!r}")
+    for key, value in flags.items():
+        if isinstance(value, tuple):  # a repeatable flag
+            value = list(value) or None
+        if value is not None:
+            cfg[key] = value
+    for key in _GRID_KEYS:
+        if cfg.get(key) == []:
+            raise click.UsageError(f"{key} is empty")
+    return cfg
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _merged(config: dict, **flags) -> dict:
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None and value != ():
-            merged[key] = value
-    return merged
 
 
 def _build_params(cfg: dict) -> CavityParams:
@@ -182,29 +193,18 @@ def main() -> None:
 @_out_option
 def cmd_response(config, x_values, n_values, fmt, out) -> None:
     """Resonant reflection/transmission/loss table over (x, N)."""
-    cfg = _load_config(config, {"x_grid", "n_values", "format", "out"})
-    cfg = _merged(cfg, x_grid=list(x_values) if x_values else None,
-                  n_values=list(n_values) if n_values else None,
-                  format=fmt, out=out)
-    if "x_grid" in cfg and len(cfg["x_grid"]) == 0:
-        raise click.UsageError("x_grid is empty")
-    grid = cfg.get("x_grid") or list(default_x_grid())
-    ns = cfg.get("n_values") or [0, 1, 2]
-    if any(x < 0 for x in grid):
-        raise click.UsageError("cooperativities must be nonnegative")
-    if any(n < 0 for n in ns):
-        raise click.UsageError("atom counts must be nonnegative")
-
-    try:
+    cfg = _settings(config, x_grid=x_values, n_values=n_values, format=fmt,
+                    out=out)
+    try:  # the library rejects negative or too large x and bad atom counts
         rows = [{"x": float(x), "N": int(n),
                  "R": reflection_probability(x, n),
                  "T": transmission_probability(x, n),
                  "lambda": scattering_loss(x, n)}
-                for x in grid for n in ns]
-    except ValueError as exc:  # x above X_MAX, or a fractional atom count
+                for x in cfg.get("x_grid") or default_x_grid()
+                for n in cfg.get("n_values", [0, 1, 2])]
+    except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write(_render(rows, ["x", "N", "R", "T", "lambda"],
-                   cfg.get("format", "csv")), cfg.get("out"))
+    _emit(rows, cfg)
 
 
 @main.command("spectrum")
@@ -221,22 +221,13 @@ def cmd_response(config, x_values, n_values, fmt, out) -> None:
 def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
                  omega_points, fmt, out) -> None:
     """Complex reflection/transmission spectrum at fixed (params, N)."""
-    allowed = (_PARAM_KEYS | {"n_atoms", "omega_grid", "omega_start",
-                              "omega_stop", "omega_points", "format", "out"})
-    cfg = _load_config(config, allowed)
-    cfg = _merged(cfg,
-                  x=x, n_atoms=n_atoms,
-                  omega_grid=list(omega_values) if omega_values else None,
-                  omega_start=omega_start, omega_stop=omega_stop,
-                  omega_points=omega_points, format=fmt, out=out)
+    cfg = _settings(config, _PARAM_KEYS, x=x, n_atoms=n_atoms,
+                    omega_grid=omega_values, omega_start=omega_start,
+                    omega_stop=omega_stop, omega_points=omega_points,
+                    format=fmt, out=out)
     params = _build_params(cfg)
-    n = cfg.get("n_atoms", 1)
-    if n < 0:
-        raise click.UsageError("atom count must be nonnegative")
-    if "omega_grid" in cfg and len(cfg["omega_grid"]) == 0:
-        raise click.UsageError("omega_grid is empty")
     omegas = cfg.get("omega_grid")
-    if not omegas:
+    if omegas is None:
         start = cfg.get("omega_start", -10.0)
         stop = cfg.get("omega_stop", 10.0)
         points = cfg.get("omega_points", 201)
@@ -247,18 +238,16 @@ def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
         raise click.UsageError("omega values must be finite")
 
     rows = []
-    try:
+    try:  # the library rejects a bad atom count
         for omega in omegas:
-            point = scattering_amplitudes(params, omega, n)
+            point = scattering_amplitudes(params, omega, cfg.get("n_atoms", 1))
             rows.append({"omega": float(omega),
                          "re_r": point.r.real, "im_r": point.r.imag,
                          "re_t": point.t.real, "im_t": point.t.imag,
                          "R": point.R, "T": point.T, "lambda": point.loss})
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write(_render(rows, ["omega", "re_r", "im_r", "re_t", "im_t",
-                          "R", "T", "lambda"],
-                   cfg.get("format", "csv")), cfg.get("out"))
+    _emit(rows, cfg)
 
 
 _SCHEMES = [s.value for s in Scheme]
@@ -278,12 +267,8 @@ _SCHEMES = [s.value for s in Scheme]
 def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
                  out) -> None:
     """Success probability and fidelity of one heralding scheme."""
-    allowed = _PARAM_KEYS | {"scheme", "phi", "n_max", "format", "out"}
-    cfg = _load_config(config, allowed)
-    if f_spurious is not None:
-        cfg["f"] = f_spurious
-    cfg = _merged(cfg, scheme=scheme, x=x, eta=eta, phi=phi, n_max=n_max,
-                  format=fmt, out=out)
+    cfg = _settings(config, _PARAM_KEYS, scheme=scheme, x=x, eta=eta, phi=phi,
+                    n_max=n_max, f=f_spurious, format=fmt, out=out)
     if "scheme" not in cfg:
         raise click.UsageError("--scheme is required")
     params = _build_params(cfg)
@@ -310,8 +295,7 @@ def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
            "p1_conditional": outcome.p1_conditional,
            "re_coherence": outcome.re_coherence,
            "uncorrected_fidelity": uncorrected}
-    _write(_render([row], list(row.keys()), cfg.get("format", "csv")),
-           cfg.get("out"))
+    _emit([row], cfg)
 
 
 @main.command("optimize")
@@ -327,20 +311,15 @@ def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
 def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
                  out) -> None:
     """Maximize success probability at a fidelity floor over an x grid."""
-    cfg = _load_config(config, {"scheme", "x_grid", "eta", "f_target",
-                                "format", "out"})
-    cfg = _merged(cfg, scheme=scheme,
-                  x_grid=list(x_values) if x_values else None,
-                  eta=eta, f_target=f_target, format=fmt, out=out)
+    cfg = _settings(config, scheme=scheme, x_grid=x_values, eta=eta,
+                    f_target=f_target, format=fmt, out=out)
     if "scheme" not in cfg:
         raise click.UsageError("--scheme is required")
     if "f_target" not in cfg:
         raise click.UsageError("--f-target is required")
-    if "x_grid" in cfg and len(cfg["x_grid"]) == 0:
-        raise click.UsageError("x_grid is empty")
-    grid = cfg.get("x_grid") or list(default_x_grid())
     try:
-        spec = SweepSpec(x_grid=tuple(grid), eta=cfg.get("eta", 1.0),
+        spec = SweepSpec(x_grid=tuple(cfg.get("x_grid") or default_x_grid()),
+                         eta=cfg.get("eta", 1.0),
                          f_target=cfg["f_target"],
                          scheme=Scheme(cfg["scheme"]))
         results = sweep(spec)
@@ -352,9 +331,7 @@ def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
              "n_max_opt": r.n_max_opt, "P_s": r.p_success,
              "F_achieved": r.fidelity_achieved, "status": r.status}
             for r in results]
-    _write(_render(rows, ["x", "scheme", "eta", "F_target", "phi_opt",
-                          "n_max_opt", "P_s", "F_achieved", "status"],
-                   cfg.get("format", "csv")), cfg.get("out"))
+    _emit(rows, cfg)
     if not any(r.status == STATUS_OK for r in results):
         ctx.exit(1)
 
@@ -364,16 +341,12 @@ def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
 @click.option("--seed", type=int, default=None, help="Monte Carlo seed.")
 @click.option("--samples", type=int, default=None,
               help="Monte Carlo sample count.")
-@click.option("--tolerance-scale", type=float, default=None, hidden=True,
-              help="Multiply every tolerance; a failure-path test hook.")
 @_out_option
 @click.pass_context
-def cmd_verify(ctx, config, seed, samples, tolerance_scale, out) -> None:
+def cmd_verify(ctx, config, seed, samples, out) -> None:
     """Run every oracle-vs-closed-form comparison; JSON report, exit 0 iff
     all checks pass."""
-    cfg = _load_config(config, {"seed", "samples", "tolerance_scale", "out"})
-    cfg = _merged(cfg, seed=seed, samples=samples,
-                  tolerance_scale=tolerance_scale, out=out)
+    cfg = _settings(config, seed=seed, samples=samples, out=out)
     if cfg.get("samples", 1_000_000) < 10_000:
         raise click.UsageError("need at least 1e4 samples")
     # numpy and scipy load only here, so a thread count set now still
@@ -382,9 +355,8 @@ def cmd_verify(ctx, config, seed, samples, tolerance_scale, out) -> None:
     from .oracle import run_verification_suite
     report = run_verification_suite(
         seed=cfg.get("seed", 20240817),
-        samples=cfg.get("samples", 1_000_000),
-        tolerance_scale=cfg.get("tolerance_scale", 1.0))
-    _write(json.dumps(report, indent=2) + "\n", cfg.get("out"))
+        samples=cfg.get("samples", 1_000_000))
+    _write(json.dumps(report, indent=2) + "\n", cfg)
     if not report["passed"]:
         ctx.exit(1)
 

@@ -107,12 +107,31 @@ def _check_target(f_target: float) -> None:
         raise ValueError("f_target must lie in (0.5, 1)")
 
 
-def _infeasible(params: CavityParams, scheme: Scheme, f_target: float,
-                n_evals: int) -> OptimizationResult:
+def _result(params: CavityParams, scheme: Scheme, f_target: float,
+            n_evals: int, out: protocol.SchemeOutcome | None = None,
+            phi: float | None = None,
+            n_max: float | None = None) -> OptimizationResult:
+    # the row for outcome `out` at (phi, n_max); infeasible when out is None
     return OptimizationResult(
         x=params.cooperativity, scheme=scheme, eta=params.eta,
-        f_target=f_target, phi_opt=None, n_max_opt=None, p_success=0.0,
-        fidelity_achieved=None, status=STATUS_INFEASIBLE, n_evals=n_evals)
+        f_target=f_target, phi_opt=phi, n_max_opt=n_max,
+        p_success=0.0 if out is None else out.p_success,
+        fidelity_achieved=None if out is None else out.fidelity,
+        status=STATUS_INFEASIBLE if out is None else STATUS_OK,
+        n_evals=n_evals)
+
+
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The last float lo with holds(lo) once [lo, hi] is bisected to float
+    adjacency, given holds(lo) and not holds(hi)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def optimize_fock_single(params: CavityParams,
@@ -130,7 +149,7 @@ def optimize_fock_single(params: CavityParams,
     out0 = protocol.fock_single(params, math.pi / 4)
     r1, r2, _ = protocol._rates(params)
     if out0.status != protocol.STATUS_OK or r1 < sys.float_info.min:
-        return _infeasible(params, Scheme.FOCK_SINGLE, f_target, 1)
+        return _result(params, Scheme.FOCK_SINGLE, f_target, 1)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
     check = protocol.fock_single(params, phi)
@@ -138,11 +157,7 @@ def optimize_fock_single(params: CavityParams,
         raise RuntimeError(
             f"constraint inversion failed: wanted F={f_target}, "
             f"got {check.fidelity}")
-    return OptimizationResult(
-        x=params.cooperativity, scheme=Scheme.FOCK_SINGLE, eta=params.eta,
-        f_target=f_target, phi_opt=phi, n_max_opt=None,
-        p_success=check.p_success, fidelity_achieved=check.fidelity,
-        n_evals=2)
+    return _result(params, Scheme.FOCK_SINGLE, f_target, 2, check, phi)
 
 
 def optimize_fock_double(params: CavityParams,
@@ -153,31 +168,8 @@ def optimize_fock_double(params: CavityParams,
     _check_target(f_target)
     out = protocol.fock_double(params)
     if out.fidelity is None or out.fidelity < f_target - _CONSTRAINT_TOL:
-        return _infeasible(params, Scheme.FOCK_DOUBLE, f_target, 1)
-    return OptimizationResult(
-        x=params.cooperativity, scheme=Scheme.FOCK_DOUBLE, eta=params.eta,
-        f_target=f_target, phi_opt=math.pi / 4, n_max_opt=None,
-        p_success=out.p_success, fidelity_achieved=out.fidelity, n_evals=1)
-
-
-def _largest_feasible(fid: Callable[[float], float],
-                      f_target: float) -> float | None:
-    """Largest n_max in [1e-9, N_MAX_CEILING] with fid(n_max) >= f_target,
-    fid nonincreasing; None when 1e-9 already misses. Bisects to float
-    adjacency."""
-    lo, hi = 1e-9, N_MAX_CEILING
-    if fid(lo) < f_target:
-        return None
-    if fid(hi) >= f_target:
-        return hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo  # feasible endpoint, so achieved F >= target
-        if fid(mid) >= f_target:
-            lo = mid
-        else:
-            hi = mid
+        return _result(params, Scheme.FOCK_DOUBLE, f_target, 1)
+    return _result(params, Scheme.FOCK_DOUBLE, f_target, 1, out, math.pi / 4)
 
 
 def optimize_coherent_single(params: CavityParams,
@@ -202,42 +194,34 @@ def optimize_coherent_single(params: CavityParams,
     grid = _COARSE_GRID
     coarse = [floor(nm) for nm in grid]
     n_evals = len(grid)
-    best = max(range(len(grid)), key=lambda k: coarse[k][1])
-    if coarse[best][1] <= 0.0:  # no budget admits an angle on the floor
-        return _infeasible(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
+    p_star = [ps for _, ps, _ in coarse]
+    best = p_star.index(max(p_star))  # the first of equals
+    if p_star[best] <= 0.0:  # no budget admits an angle on the floor
+        return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
+
+    def rising(nm: float) -> bool:
+        # P* positive and not falling at nm, the test `rises` makes below
+        nonlocal n_evals
+        n_evals += 1
+        _, ps, slope = floor(nm)
+        return ps > 0.0 and slope >= 0.0
 
     # P* rises where it is positive with slope >= 0, so each grid cell where
     # that stops holds a local maximum, and so does the ceiling if P* still
     # rises there. P* can have two, a peak and then a plateau approached
     # from below, so all of them compete, with the best grid point.
-    rising = [ps > 0.0 and slope >= 0.0 for _, ps, slope in coarse]
-    found = []
-    for k in range(len(grid) - 1):
-        if not rising[k] or rising[k + 1]:
-            continue
-        lo, hi, at_lo = grid[k], grid[k + 1], coarse[k]
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            at_mid = floor(mid)
-            n_evals += 1
-            if at_mid[1] > 0.0 and at_mid[2] >= 0.0:
-                lo, at_lo = mid, at_mid
-            else:
-                hi = mid
-        found.append((lo, at_lo))
-    if rising[-1]:
+    rises = [ps > 0.0 and slope >= 0.0 for _, ps, slope in coarse]
+    peaks = [_bisect(rising, grid[k], grid[k + 1])
+             for k in range(len(grid) - 1) if rises[k] and not rises[k + 1]]
+    n_evals += len(peaks)  # each peak is evaluated once more, for its P*
+    found = [(nm, floor(nm)) for nm in peaks]
+    if rises[-1]:
         found.append((grid[-1], coarse[-1]))
     found.append((grid[best], coarse[best]))
     nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
     phi = math.atan(math.sqrt(t))
-    out = protocol.coherent_single(params, phi, nm)
-    return OptimizationResult(
-        x=params.cooperativity, scheme=Scheme.COHERENT_SINGLE,
-        eta=params.eta, f_target=f_target, phi_opt=phi, n_max_opt=nm,
-        p_success=out.p_success, fidelity_achieved=out.fidelity,
-        n_evals=n_evals + 1)
+    return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1,
+                   protocol.coherent_single(params, phi, nm), phi, nm)
 
 
 def optimize_coherent_double(params: CavityParams,
@@ -256,21 +240,18 @@ def optimize_coherent_double(params: CavityParams,
     a = params.eta * r1
     n_evals = 0
 
-    def fid(nm: float) -> float:
+    def feasible(nm: float) -> bool:
         nonlocal n_evals
         n_evals += 1
         f = protocol._double_click_terms(a, lam, nm)[1]
-        return -1.0 if f is None else f
+        return f is not None and f >= f_target
 
-    nm = _largest_feasible(fid, f_target)
-    if nm is None:
-        return _infeasible(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
-    out = protocol.coherent_double(params, nm)
-    return OptimizationResult(
-        x=params.cooperativity, scheme=Scheme.COHERENT_DOUBLE,
-        eta=params.eta, f_target=f_target, phi_opt=math.pi / 4,
-        n_max_opt=nm, p_success=out.p_success,
-        fidelity_achieved=out.fidelity, n_evals=n_evals + 1)
+    if not feasible(1e-9):
+        return _result(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
+    nm = (N_MAX_CEILING if feasible(N_MAX_CEILING)
+          else _bisect(feasible, 1e-9, N_MAX_CEILING))
+    return _result(params, Scheme.COHERENT_DOUBLE, f_target, n_evals + 1,
+                   protocol.coherent_double(params, nm), math.pi / 4, nm)
 
 
 # evaluate(params, *(values of the arguments named in needs)) is the closed

@@ -216,10 +216,8 @@ def _coherent_single_terms(p1: float, p2: float, a: float, b: float,
     if ps == 0.0:
         return 0.0, None, None, None
     p1c_avg = p1 * click1 / ps
-    if a + lam > 0:
-        coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
-    else:
-        coh = 0.0
+    # ps > 0 means x > 0, so lam > 0
+    coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
     return ps, p1c_avg / 2.0 + coh, p1c_avg, coh
 
 

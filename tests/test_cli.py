@@ -1,5 +1,6 @@
 """Command-line surface: flag handling, config merging, formats, exit codes."""
 
+import functools
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from click.testing import CliRunner
 
 import cavityherald
 from cavityherald.cli import main
+from cavityherald.core import CavityParams
+from cavityherald.protocol import false_reflection_fidelity
 
 
 @pytest.fixture()
@@ -64,6 +67,18 @@ def test_response_rejects_fractional_atom_count(runner, tmp_path):
     cfg.write_text('{"n_values": [1.5]}')
     res = invoke(runner, "response", "--config", str(cfg), "--x", "1")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("response", "--x", "-1"),
+    ("response", "--x", "1", "--n", "-1"),
+    ("spectrum", "--x", "1", "--n", "-1"),
+])
+def test_negative_cooperativity_or_atom_count_is_a_usage_error(runner, args):
+    # the library's own range checks, turned into exit 2
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
 
 
 # ------------------------------------------------------------------- spectrum
@@ -144,6 +159,23 @@ def test_protocol_coherent_double_undefined_row_has_no_nan(runner):
     assert res.output.splitlines()[1] == "coherent-double,0.0,,undefined,,,"
     row = json.loads(invoke(runner, *args, "--format", "json").output)[0]
     assert row["uncorrected_fidelity"] is None
+
+
+def test_protocol_f_spurious_flag_wins_over_config(runner, tmp_path):
+    params = CavityParams.from_cooperativity(1.0)
+    args = ("protocol", "--scheme", "fock-double", "--x", "1",
+            "--format", "json")
+    res = invoke(runner, *args, "--f-spurious", "0.05")
+    assert res.exit_code == 0
+    want = false_reflection_fidelity(params, 0.05)
+    assert json.loads(res.output)[0]["fidelity"] == want < 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"f": 0.2}')
+    res = invoke(runner, *args, "--config", str(cfg))
+    assert (json.loads(res.output)[0]["fidelity"]
+            == false_reflection_fidelity(params, 0.2))
+    res = invoke(runner, *args, "--config", str(cfg), "--f-spurious", "0.05")
+    assert json.loads(res.output)[0]["fidelity"] == want
 
 
 def test_protocol_eta_flag(runner):
@@ -231,6 +263,22 @@ def test_config_unknown_format_is_a_usage_error(runner, tmp_path, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "csv or json" in res.output
+
+
+@pytest.mark.parametrize("args, config", [
+    (("response", "--x", "1"), '{"n_values": []}'),
+    (("spectrum", "--x", "1"), '{"omega_grid": []}'),
+    (("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
+     '{"x_grid": []}'),
+], ids=["response-n", "spectrum-omega", "optimize-x"])
+def test_config_empty_grid_is_a_usage_error(runner, tmp_path, args, config):
+    # like an empty response x_grid, no empty grid falls back to a default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    res = invoke(runner, *args, "--config", str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "is empty" in res.output
 
 
 def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
@@ -406,9 +454,13 @@ def test_verify_sample_floor(runner):
     assert invoke(runner, "verify", "--samples", "10").exit_code == 2
 
 
-def test_verify_failure_exit_code(runner):
-    res = invoke(runner, "verify", "--samples", "20000",
-                 "--tolerance-scale", "1e-9")
+def test_verify_failure_exit_code(runner, monkeypatch):
+    # squeezing every tolerance to zero makes the suite fail
+    from cavityherald.oracle import run_verification_suite
+    monkeypatch.setattr(
+        "cavityherald.oracle.run_verification_suite",
+        functools.partial(run_verification_suite, tolerance_scale=1e-9))
+    res = invoke(runner, "verify", "--samples", "20000")
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert report["passed"] is False

@@ -194,6 +194,15 @@ def test_monte_carlo_samples_ring_rates():
     assert abs(mc.fidelity - closed.fidelity) < 4 * mc.fidelity_err
 
 
+def test_quadrature_and_monte_carlo_undefined_without_clicks():
+    # an uncoupled cavity never clicks: no fidelity, and no NaN for one
+    uncoupled = CavityParams.from_cooperativity(0.0)
+    for out in (quadrature_single(uncoupled, math.pi / 4, 2.0),
+                monte_carlo_double(uncoupled, 2.0, 10_000, 1)):
+        assert out.status == "undefined"
+        assert out.fidelity is None
+
+
 def test_monte_carlo_sample_floor():
     with pytest.raises(ValueError):
         monte_carlo_double(P1, 2.0, 999, 1)
