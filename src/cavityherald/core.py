@@ -207,8 +207,10 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     Re D >= kappa/2 > 0 and there is no singular branch. On resonance
     (omega = delta = 0) with symmetric mirrors the probabilities reduce to the
     closed forms of `reflection_probability` and `transmission_probability`
-    exactly.
+    exactly. A non-finite omega raises ValueError.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"probe frequency must be finite, got {omega}")
     n = _check_n(n_atoms)
     d = (params.kappa / 2.0 - 1j * omega
          + n * params.g ** 2 / (params.gamma / 2.0 + 1j * (params.delta - omega)))

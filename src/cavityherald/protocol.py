@@ -8,7 +8,8 @@ Fock-state and coherent-state input light.
 Every formula evaluates the cooperativity through
 `effective_cooperativity_ring`, so ring-cavity parameter sets transparently
 apply the reduced coupling in both the reflection probabilities and the
-scattering loss.
+scattering loss. Asymmetric mirrors and a detuned cavity are not modelled
+and raise ValueError.
 """
 
 from __future__ import annotations
@@ -71,7 +72,11 @@ def initial_populations(phi: float) -> Preparation:
 
 
 def _rates(params: CavityParams) -> tuple[float, float, float]:
-    # (R1, R2, lambda1) at the effective cooperativity
+    # (R1, R2, lambda1) at the effective cooperativity; the closed forms hold
+    # for symmetric mirrors on resonance only, so anything else is rejected
+    if params.kappa_a != params.kappa_b or params.delta != 0.0:
+        raise ValueError("the schemes model symmetric mirrors on resonance "
+                         "only: kappa_a must equal kappa_b and delta be 0")
     x = effective_cooperativity_ring(params)
     return (reflection_probability(x, 1), reflection_probability(x, 2),
             scattering_loss(x, 1))
@@ -194,31 +199,18 @@ def coherent_single(params: CavityParams, phi: float,
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
     prep = initial_populations(phi)
     r1, r2, lam = _rates(params)
-    ps, fid, p1c_avg, coh = _coherent_single_terms(
-        prep.p1, prep.p2, params.eta * r1, params.eta * r2, lam, n_max)
-    if fid is None:
+    a, b = params.eta * r1, params.eta * r2
+    click1 = -math.expm1(-a * n_max)
+    ps = prep.p1 * click1 + prep.p2 * -math.expm1(-b * n_max)
+    if ps == 0.0:
         return SchemeOutcome(p_success=0.0, fidelity=None,
                              status=STATUS_UNDEFINED)
-    return SchemeOutcome(p_success=ps, fidelity=fid,
-                         p1_conditional=p1c_avg, re_coherence=coh)
-
-
-def _coherent_single_terms(p1: float, p2: float, a: float, b: float,
-                           lam: float, n_max: float
-                           ) -> tuple[float, float | None, float | None,
-                                      float | None]:
-    # (P_s, F, click-averaged p1c, coherence term) of `coherent_single` at
-    # populations p1, p2 and click rates a = eta R1, b = eta R2, unvalidated
-    # so that the optimizer can evaluate it on rates computed once per row;
-    # F and the diagnostics are None when P_s = 0
-    click1 = -math.expm1(-a * n_max)
-    ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
-    if ps == 0.0:
-        return 0.0, None, None, None
-    p1c_avg = p1 * click1 / ps
+    p1c_avg = prep.p1 * click1 / ps
     # ps > 0 means x > 0, so lam > 0
-    coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
-    return ps, p1c_avg / 2.0 + coh, p1c_avg, coh
+    coh = (prep.p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max)
+           / (2.0 * ps))
+    return SchemeOutcome(p_success=ps, fidelity=p1c_avg / 2.0 + coh,
+                         p1_conditional=p1c_avg, re_coherence=coh)
 
 
 def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,

@@ -1,6 +1,5 @@
 """Command-line surface: flag handling, config merging, formats, exit codes."""
 
-import functools
 import json
 import math
 import os
@@ -327,6 +326,39 @@ def test_config_inconsistent_units_rejected(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("config", [
+    '{"g": 1.0, "kappa_a": 0.2, "kappa_b": 0.8, "gamma": 1.0}',
+    '{"g": 1.0, "kappa_a": 0.5, "kappa_b": 0.5, "gamma": 1.0, "delta": 2.0}',
+    '{"x": 1.0, "delta": 2.0}',
+], ids=["asymmetric", "detuned-raw", "detuned-x"])
+@pytest.mark.parametrize("scheme", ["fock-single", "fock-double",
+                                    "coherent-single", "coherent-double"])
+def test_protocol_rejects_asymmetric_or_detuned_cavity(runner, tmp_path,
+                                                        config, scheme):
+    # the schemes model symmetric mirrors on resonance only; `spectrum`
+    # models the rest
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    res = invoke(runner, "protocol", "--config", str(cfg), "--scheme",
+                 scheme, "--phi", "0.5", "--n-max", "1")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "symmetric mirrors on resonance" in res.output
+    assert invoke(runner, "spectrum", "--config", str(cfg), "--omega",
+                  "0").exit_code == 0
+
+
+@pytest.mark.parametrize("text", ['{"x": 1.0', '[1.0]'],
+                         ids=["invalid-json", "array"])
+def test_config_that_is_not_a_json_object_is_a_usage_error(runner, tmp_path,
+                                                            text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    res = invoke(runner, "response", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
 def test_partial_raw_rates_rejected(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1.0, "kappa_a": 0.5}')
@@ -357,6 +389,16 @@ def test_optimize_matches_protocol_at_returned_point(runner):
     prow = json.loads(back.output)[0]
     assert math.isclose(prow["p_success"], row["P_s"], rel_tol=1e-12)
     assert math.isclose(prow["fidelity"], row["F_achieved"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("args, missing", [
+    (("--f-target", "0.9"), "--scheme"),
+    (("--scheme", "fock-single"), "--f-target"),
+])
+def test_optimize_needs_scheme_and_target(runner, args, missing):
+    res = invoke(runner, "optimize", "--x", "1", *args)
+    assert res.exit_code == 2
+    assert f"{missing} is required" in res.output
 
 
 def test_optimize_all_rows_infeasible_exits_nonzero(runner):
@@ -455,12 +497,12 @@ def test_verify_sample_floor(runner):
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):
-    # squeezing every tolerance to zero makes the suite fail
-    from cavityherald.oracle import run_verification_suite
-    monkeypatch.setattr(
-        "cavityherald.oracle.run_verification_suite",
-        functools.partial(run_verification_suite, tolerance_scale=1e-9))
+    # a wrong closed form for the suite to compare against makes it fail
+    from cavityherald.core import reflection_probability
+    monkeypatch.setattr("cavityherald.oracle.reflection_probability",
+                        lambda x, n: 2.0 * reflection_probability(x, n))
     res = invoke(runner, "verify", "--samples", "20000")
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert report["passed"] is False
+    assert report["n_failed"] > 0

@@ -113,6 +113,13 @@ def test_spectrum_symmetric_in_omega_without_detuning():
         assert math.isclose(a.T, b.T, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_spectrum_rejects_non_finite_frequency(omega):
+    # the amplitudes would all be NaN
+    with pytest.raises(ValueError, match="finite"):
+        scattering_amplitudes(CavityParams.from_cooperativity(1.0), omega, 1)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         CavityParams(g=1.0, kappa_a=0.0, kappa_b=0.5)

@@ -194,7 +194,7 @@ def _count_calls(monkeypatch, name):
     (Scheme.FOCK_DOUBLE, "fock_double"),
     # the search calls the floor kernel, the final answer `coherent_single`
     (Scheme.COHERENT_SINGLE,
-     "_coherent_single_floor+_coherent_single_terms"),
+     "_coherent_single_floor+coherent_single"),
     (Scheme.COHERENT_DOUBLE, "_double_click_terms"),
 ])
 @pytest.mark.parametrize("params, f_target", [
@@ -413,3 +413,13 @@ def test_cooperativity_is_bounded_at_x_max():
     for scheme in Scheme:
         with pytest.raises(ValueError, match="X_MAX"):
             optimize(huge, scheme, 0.9)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("params", [
+    CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8),
+    CavityParams.from_cooperativity(1.0, delta=2.0),
+], ids=["asymmetric", "detuned"])
+def test_optimizers_reject_asymmetric_or_detuned_cavities(scheme, params):
+    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+        optimize(params, scheme, 0.9)

@@ -16,9 +16,7 @@ from cavityherald.core import CavityParams, with_cooperativity
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
-    _coherent_single_terms,
     _erlang2_cdf,
-    _rates,
     coherent_conditional_fidelity,
     coherent_conditional_population,
     coherent_double,
@@ -135,6 +133,12 @@ def test_false_reflection_degrades_fidelity(f, x):
     assert false_reflection_fidelity(p, f) > 0.0
 
 
+@pytest.mark.parametrize("f", [-0.1, 1.0, math.nan])
+def test_false_reflection_fidelity_rejects_f_outside_unit_interval(f):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        false_reflection_fidelity(P1, f)
+
+
 def test_fock_double_reports_false_reflection_fidelity():
     p = CavityParams.from_cooperativity(1.0, f=0.01)
     out = fock_double(p)
@@ -190,6 +194,14 @@ def test_photon_number_helpers_reject_non_finite_and_negative(helper, n):
         helper(P1, 0.5, n)
 
 
+@pytest.mark.parametrize("n", [0.0, 1.0])
+def test_conditional_helpers_undefined_without_clicks(n):
+    # at x = 0 no sector reflects, so there is no click to condition on
+    uncoupled = with_cooperativity(P1, 0.0)
+    assert coherent_conditional_population(uncoupled, math.pi / 4, n) is None
+    assert coherent_conditional_fidelity(uncoupled, math.pi / 4, n) is None
+
+
 @given(angles, budgets)
 def test_coherent_single_success_monotone_in_budget(phi, n):
     small = coherent_single(P1, phi, n)
@@ -216,33 +228,6 @@ def test_coherent_single_diagnostics_decomposition(phi, n):
 def test_coherent_single_undefined_without_atoms():
     out = coherent_single(with_cooperativity(P1, 0.0), 0.5, 1.0)
     assert out.status == STATUS_UNDEFINED
-
-
-# plain, lossy detection, spurious reflection, and two ring cavities
-kernel_params = st.sampled_from([
-    {}, {"f": 0.1}, {"g_tilde": 0.3, "kappa_tilde": 1.0},
-    {"g_tilde": 1.0, "kappa_tilde": 0.5, "f": 0.02},
-])
-
-
-@given(st.floats(min_value=0.0, max_value=math.pi / 2),
-       st.floats(min_value=1e-9, max_value=1e3),
-       st.floats(min_value=0.0, max_value=1e3),
-       st.floats(min_value=0.0, max_value=1.0), kernel_params)
-def test_coherent_single_terms_match_public_function(phi, n_max, x, eta,
-                                                     extra):
-    """The optimizer evaluates the private kernel on rates computed once per
-    row; its answers must be those of the public function, bit for bit."""
-    p = CavityParams.from_cooperativity(x, eta=eta, **extra)
-    prep = initial_populations(phi)
-    r1, r2, lam = _rates(p)
-    ps, fid, p1c, coh = _coherent_single_terms(
-        prep.p1, prep.p2, p.eta * r1, p.eta * r2, lam, n_max)
-    out = coherent_single(p, phi, n_max)
-    assert ps == out.p_success
-    assert fid == out.fidelity
-    assert p1c == out.p1_conditional
-    assert coh == out.re_coherence
 
 
 # ------------------------------------------------------------ coherent double
@@ -298,6 +283,12 @@ def test_uncorrected_form_undefined_without_clicks():
         with_cooperativity(P1, 0.0), 2.0) is None
 
 
+@pytest.mark.parametrize("n_max", [0.0, -1.0, math.nan, math.inf])
+def test_uncorrected_form_rejects_bad_budget(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        coherent_double_fidelity_uncorrected(P1, n_max)
+
+
 def test_uncorrected_form_escapes_unit_interval():
     # the overcounted coherence term is unphysical at the working point;
     # kept callable because the comparison is part of the public record
@@ -342,3 +333,32 @@ def test_erlang2_cdf_matches_40_digit_values(z, exact):
     # 1 - (1 + z) e^{-z} in 40-digit arithmetic (mpmath), on both sides of
     # the switch from the series to the direct form at z = 1/2
     assert math.isclose(_erlang2_cdf(z), exact, rel_tol=1e-15)
+
+
+# ------------------------------------------------------- unmodelled parameters
+
+# R1 from the amplitudes is 0.8464 for these mirrors and 0.390 at this
+# detuning, where the closed forms would use 0.64
+_UNMODELLED = [CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8),
+               CavityParams.from_cooperativity(1.0, delta=2.0)]
+
+
+@pytest.mark.parametrize("params", _UNMODELLED, ids=["asymmetric", "detuned"])
+@pytest.mark.parametrize("evaluate", [
+    lambda p: fock_single(p, 0.5),
+    fock_double,
+    lambda p: false_reflection_fidelity(p, 0.05),
+    lambda p: coherent_conditional_population(p, 0.5, 1.0),
+    lambda p: coherent_conditional_fidelity(p, 0.5, 1.0),
+    lambda p: first_click_density(p, 0.5, 1.0),
+    lambda p: coherent_single(p, 0.5, 1.0),
+    lambda p: coherent_double(p, 1.0),
+    lambda p: coherent_double_fidelity_uncorrected(p, 1.0),
+], ids=["fock_single", "fock_double", "false_reflection_fidelity",
+        "conditional_population", "conditional_fidelity",
+        "first_click_density", "coherent_single", "coherent_double",
+        "uncorrected"])
+def test_schemes_reject_asymmetric_or_detuned_cavities(params, evaluate):
+    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+        evaluate(params)
+
