@@ -95,8 +95,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # Only the oracle's names in __all__ reach this: the oracle pulls in
-    # numpy and scipy, so it loads on first use (PEP 562), which only
-    # `verify` makes.
+    # numpy, so it loads on first use (PEP 562), which only `verify` makes.
     if name in __all__:
         from . import oracle
         return getattr(oracle, name)

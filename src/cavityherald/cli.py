@@ -247,6 +247,7 @@ def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
 
 
 _SCHEMES = [s.value for s in Scheme]
+_SCHEME_ARGS = frozenset(name for e in SCHEMES.values() for name in e.needs)
 
 
 @main.command("protocol")
@@ -277,6 +278,10 @@ def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
             flags = " and ".join("--" + name.replace("_", "-")
                                  for name in entry.needs)
             raise click.UsageError(f"{scheme_v.value} needs {flags}")
+        extra = _SCHEME_ARGS.intersection(cfg).difference(entry.needs)
+        if extra:
+            raise click.UsageError(
+                f"{scheme_v.value} takes no {' or '.join(sorted(extra))}")
         outcome = entry.evaluate(params, *(cfg[name] for name in entry.needs))
         if scheme_v is Scheme.COHERENT_DOUBLE:
             uncorrected = coherent_double_fidelity_uncorrected(
@@ -343,13 +348,15 @@ def cmd_verify(ctx, config, seed, samples, out) -> None:
     """Run every oracle-vs-closed-form comparison; JSON report, exit 0 iff
     all checks pass."""
     cfg = _settings(config, seed=seed, samples=samples, out=out)
-    # numpy and scipy load only here, so a thread count set now still
-    # reaches BLAS; the oracle's small dense products stall on two threads
+    # numpy loads only here, so a thread count set now still reaches BLAS;
+    # the oracle's small dense products stall on two threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import oracle
     given = {k: cfg[k] for k in ("seed", "samples") if k in cfg}
     if given.get("samples", oracle.MIN_SAMPLES) < oracle.MIN_SAMPLES:
         raise click.UsageError(f"need at least {oracle.MIN_SAMPLES} samples")
+    if given.get("seed", 0) < 0:
+        raise click.UsageError("the seed must be nonnegative")
     report = oracle.run_verification_suite(**given)
     _write(json.dumps(report, indent=2) + "\n", cfg)
     if not report["passed"]:

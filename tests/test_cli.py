@@ -177,6 +177,33 @@ def test_protocol_f_spurious_flag_wins_over_config(runner, tmp_path):
     assert json.loads(res.output)[0]["fidelity"] == want
 
 
+# the scheme parameters each scheme takes, and nothing else
+_SCHEME_FLAGS = {"fock-single": ["--phi", "0.6"], "fock-double": [],
+                 "coherent-single": ["--phi", "0.6", "--n-max", "1.5"],
+                 "coherent-double": ["--n-max", "1.5"]}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("scheme, name", [
+    ("fock-single", "n_max"), ("fock-double", "phi"),
+    ("fock-double", "n_max"), ("coherent-double", "phi")])
+def test_protocol_rejects_a_parameter_the_scheme_does_not_take(
+        runner, tmp_path, route, scheme, name):
+    value = {"phi": 0.6, "n_max": 1.5}[name]
+    args = ["protocol", "--scheme", scheme, "--x", "0.7",
+            *_SCHEME_FLAGS[scheme]]
+    if route == "flag":
+        args += ["--" + name.replace("_", "-"), str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        args += ["--config", str(cfg)]
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "takes no" in res.output and name in res.output
+
+
 def test_protocol_eta_flag(runner):
     res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "1",
                  "--eta", "0.5", "--format", "json")
@@ -340,7 +367,7 @@ def test_protocol_rejects_asymmetric_or_detuned_cavity(runner, tmp_path,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     res = invoke(runner, "protocol", "--config", str(cfg), "--scheme",
-                 scheme, "--phi", "0.5", "--n-max", "1")
+                 scheme, *_SCHEME_FLAGS[scheme])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "symmetric mirrors on resonance" in res.output
@@ -442,8 +469,7 @@ def _run_python(code, *args):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy and scipy load with the oracle on first use, which only `verify`
-    # makes
+    # numpy loads with the oracle on first use, which only `verify` makes
     probe = ("import sys, cavityherald, cavityherald.cli\n"
              "assert not [m for m in sys.modules\n"
              "            if m.split('.')[0] in ('numpy', 'scipy')]\n"
@@ -453,14 +479,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_oracle_import_loads_no_scipy():
+    probe = ("import sys, cavityherald.oracle\n"
+             "assert 'numpy' in sys.modules\n"
+             "assert not [m for m in sys.modules\n"
+             "            if m.split('.')[0] == 'scipy']\n")
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 _NUMPY_FREE_COMMANDS = [
     ["response"],
     ["spectrum", "--x", "0.7", "--n", "2", "--omega-start", "-3",
      "--omega-stop", "5", "--omega-points", "41"],
-    *(["protocol", "--scheme", scheme, "--x", "0.7", "--eta", "0.9",
-       "--phi", "0.6", "--n-max", "1.5"]
-      for scheme in ("fock-single", "fock-double", "coherent-single",
-                     "coherent-double")),
+    *(["protocol", "--scheme", scheme, "--x", "0.7", "--eta", "0.9", *flags]
+      for scheme, flags in _SCHEME_FLAGS.items()),
     ["optimize", "--scheme", "coherent-single", "--f-target", "0.9"],
     ["optimize", "--scheme", "coherent-double", "--x", "0.3", "--x", "1.2",
      "--eta", "0.8", "--f-target", "0.85", "--format", "json"],
@@ -494,6 +527,20 @@ def test_verify_passes_and_reports_json(runner):
 
 def test_verify_sample_floor(runner):
     assert invoke(runner, "verify", "--samples", "10").exit_code == 2
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_verify_negative_seed_is_a_usage_error(runner, tmp_path, route):
+    if route == "flag":
+        args = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        args = ["--config", str(cfg)]
+    res = invoke(runner, "verify", "--samples", "20000", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "seed" in res.output
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):

@@ -101,16 +101,27 @@ def test_steady_state_pinned_values(params, n_atoms, expected):
         assert math.isclose(o, e, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("x, expected", [(0.25, 0.0004999581552514122),
-                                         (1.0, 0.0003200204285776171)])
+@pytest.mark.parametrize("x, expected", [(0.25, 0.0004999583119501485),
+                                         (1.0, 0.000320020467987813)])
 def test_coherence_decay_pinned_values(x, expected):
     rate = coherence_decay_rate(build_system(with_cooperativity(P1, x), 1))
     assert math.isclose(rate, expected, rel_tol=1e-12)
 
 
+def test_coherence_decay_without_a_separated_slow_mode_raises():
+    # kappa = 0.01 gamma at the largest weak drive: the cavity's own decay
+    # is only about nine times faster than xi's, and the cavity fills past
+    # the photon truncation
+    system = build_system(CavityParams(g=0.1, kappa_a=0.005, kappa_b=0.005),
+                          1, drive_flux=WEAK_DRIVE_MAX)
+    with pytest.raises(OracleDiagnosticError, match="clean exponential"):
+        coherence_decay_rate(system)
+
+
 def test_steady_state_solve_missing_its_residual_raises(monkeypatch):
     # a zero vector would pass the residual and fail on the trace instead
-    monkeypatch.setattr(oracle, "spsolve", lambda a, b: np.ones_like(b))
+    monkeypatch.setattr(oracle.np.linalg, "solve",
+                        lambda a, b: np.ones_like(b))
     with pytest.raises(OracleDiagnosticError, match="residual"):
         steady_state_rt(build_system(P1, 1))
 
@@ -151,6 +162,14 @@ def test_quadrature_agrees_with_closed_form():
         closed = coherent_single(p, phi, nm)
         assert abs(quad.p_success - closed.p_success) < 1e-8
         assert abs(quad.fidelity - closed.fidelity) < 1e-8
+
+
+def test_quadrature_with_too_few_nodes_trips_its_error_guard(monkeypatch):
+    # 4 against 2 nodes per panel misses P_s by about 3e-5
+    rules = tuple(np.polynomial.legendre.leggauss(k) for k in (4, 2))
+    monkeypatch.setattr(oracle, "_GAUSS_RULES", rules)
+    with pytest.raises(OracleDiagnosticError, match="quadrature error"):
+        quadrature_single(P1, math.pi / 4, 2.0)
 
 
 def test_monte_carlo_frozen_seed():
@@ -200,6 +219,11 @@ def test_quadrature_and_monte_carlo_undefined_without_clicks():
 def test_monte_carlo_sample_floor():
     with pytest.raises(ValueError):
         monte_carlo_double(P1, 2.0, 999, 1)
+
+
+def test_monte_carlo_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo_double(P1, 2.0, 10_000, -1)
 
 
 @pytest.mark.parametrize("n_max", [0.0, -1.0, math.nan, math.inf])
