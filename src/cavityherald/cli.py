@@ -79,10 +79,12 @@ def _emit(rows: list[dict], cfg: dict) -> None:
 
 
 def _write(text: str, cfg: dict) -> None:
-    if cfg.get("out"):
+    if not cfg.get("out"):
+        return click.echo(text, nl=False)
+    try:
         pathlib.Path(cfg["out"]).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}")
 
 
 def _settings(config: str | None, keys: frozenset[str] = frozenset(),
@@ -95,7 +97,7 @@ def _settings(config: str | None, keys: frozenset[str] = frozenset(),
     if config is not None:
         try:
             cfg = json.loads(pathlib.Path(config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise click.UsageError(f"cannot read config: {exc}")
         if not isinstance(cfg, dict):
             raise click.UsageError("config must be a JSON object")

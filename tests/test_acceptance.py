@@ -115,8 +115,8 @@ def test_criterion_03_ring_cavity_bound():
 
 
 def test_criterion_04_quadrature_equivalence():
-    """Closed-form single-click results agree with adaptive quadrature of the
-    conditional-fidelity-weighted click density to 1e-8 on a 20-point grid
+    """Closed-form single-click results agree with Gauss-Legendre quadrature of
+    the conditional-fidelity-weighted click density to 1e-8 on a 20-point grid
     spanning (x, eta, phi, n_max)."""
     grid = [
         (0.25, 1.0, 0.30, 0.5), (0.25, 1.0, 0.785, 2.0),
@@ -162,8 +162,9 @@ def test_criterion_05_master_equation_oracle():
 
 
 def test_criterion_06_coherence_decay_oracle():
-    """The fitted decay rate of the two-atom pair coherence under continuous
-    weak probing matches loss * flux within 2%."""
+    """The decay rate of the two-atom pair coherence under continuous weak
+    probing, the slowest eigenvalue of its master-equation block, matches
+    loss * flux within 2%."""
     for x in (0.25, 1.0):
         sysn = build_system(with_cooperativity(P1, x), 1)
         rate = coherence_decay_rate(sysn)

@@ -117,6 +117,9 @@ def test_protocol_requires_scheme_parameters(runner):
     assert invoke(runner, "protocol", "--scheme", "coherent-double",
                   "--x", "1").exit_code == 2  # no n-max
     assert invoke(runner, "protocol", "--x", "1").exit_code == 2  # no scheme
+    res = invoke(runner, "protocol", "--scheme", "fock-double")  # no x
+    assert res.exit_code == 2
+    assert "cooperativity required" in res.output
     # out-of-range values are usage errors, not tracebacks
     assert invoke(runner, "protocol", "--scheme", "fock-single",
                   "--x", "1", "--phi", "3").exit_code == 2
@@ -375,15 +378,42 @@ def test_protocol_rejects_asymmetric_or_detuned_cavity(runner, tmp_path,
                   "0").exit_code == 0
 
 
-@pytest.mark.parametrize("text", ['{"x": 1.0', '[1.0]'],
-                         ids=["invalid-json", "array"])
+@pytest.mark.parametrize("text", [b'{"x": 1.0', b'[1.0]', b'\xff\xfe{}'],
+                         ids=["invalid-json", "array", "not-utf8"])
 def test_config_that_is_not_a_json_object_is_a_usage_error(runner, tmp_path,
                                                             text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     res = invoke(runner, "response", "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("route", ["response", "verify", "config-directory"])
+def test_unwritable_output_is_a_usage_error(runner, tmp_path, route):
+    missing = str(tmp_path / "missing" / "out.csv")
+    if route == "response":
+        args = ["response", "--x", "1", "--out", missing]
+    elif route == "verify":
+        args = ["verify", "--samples", "10000", "--out", missing]
+    else:  # the --out flag refuses a directory; a config's out did not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path)}))
+        args = ["response", "--x", "1", "--config", str(cfg)]
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "cannot write output" in res.output
+
+
+def test_config_raw_rates_the_params_reject_are_a_usage_error(runner,
+                                                              tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"g": 1, "kappa_a": 0, "kappa_b": 1, "gamma": 1}')
+    res = invoke(runner, "protocol", "--config", str(cfg),
+                 "--scheme", "fock-double")
+    assert res.exit_code == 2
+    assert "mirror decay rates must be positive" in res.output
 
 
 def test_partial_raw_rates_rejected(runner, tmp_path):

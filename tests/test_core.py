@@ -135,6 +135,23 @@ def test_params_validation():
         CavityParams.from_cooperativity(-0.5)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: CavityParams(g=-1.0, kappa_a=0.5, kappa_b=0.5), "g must be"),
+    (lambda: CavityParams(g=1.0, kappa_a=0.5, kappa_b=0.5, g_tilde=-1.0,
+                          kappa_tilde=1.0), "ring-mode"),
+    (lambda: CavityParams(g=1.0, kappa_a=0.5, kappa_b=0.5, kappa_tilde=-1.0),
+     "ring-mode"),
+    (lambda: CavityParams.from_raw_rates(1.0, 1.0, 1.0, 0.0), "gamma"),
+    (lambda: CavityParams.from_raw_rates(1.0, 1.0, 1.0, -2.0), "gamma"),
+    (lambda: with_cooperativity(CavityParams.from_cooperativity(1.0), -0.5),
+     "cooperativity"),
+], ids=["negative-g", "negative-g-tilde", "negative-kappa-tilde",
+        "zero-gamma", "negative-gamma", "negative-x-rescale"])
+def test_params_guards_reject_invalid_rates(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_raw_rate_normalization():
     p = CavityParams.from_raw_rates(g=2.0, kappa_a=1.0, kappa_b=1.0, gamma=2.0)
     assert p.gamma == 1.0

@@ -6,11 +6,12 @@ tests/test_acceptance.py.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from cavityherald import oracle
+from cavityherald import oracle, protocol
 from cavityherald.core import (
     CavityParams,
     reflection_probability,
@@ -126,6 +127,12 @@ def test_steady_state_solve_missing_its_residual_raises(monkeypatch):
         steady_state_rt(build_system(P1, 1))
 
 
+def test_steady_state_response_needs_a_drive():
+    # the response is normalized by the input flux
+    with pytest.raises(ValueError, match="nonzero drive"):
+        steady_state_rt(build_system(P1, 1, drive_flux=0.0))
+
+
 def test_detuned_system_still_conserves_flux():
     p = CavityParams.from_cooperativity(1.0, delta=0.7)
     r, t, loss = steady_state_rt(build_system(p, 1))
@@ -162,6 +169,40 @@ def test_quadrature_agrees_with_closed_form():
         closed = coherent_single(p, phi, nm)
         assert abs(quad.p_success - closed.p_success) < 1e-8
         assert abs(quad.fidelity - closed.fidelity) < 1e-8
+
+
+def test_quadrature_calls_no_scalar_protocol_helper(monkeypatch):
+    # the integrands are arrays built from one read of the model, not
+    # per-node calls into the scalar helpers
+    def per_node_call(*args):
+        raise AssertionError("quadrature called a scalar protocol helper")
+
+    for name in ("first_click_density", "coherent_conditional_fidelity",
+                 "coherent_conditional_population"):
+        monkeypatch.setattr(protocol, name, per_node_call)
+    quad = quadrature_single(P1, math.pi / 4, 2.0)
+    closed = coherent_single(P1, math.pi / 4, 2.0)
+    assert abs(quad.p_success - closed.p_success) < 1e-12
+    assert abs(quad.fidelity - closed.fidelity) < 1e-12
+
+
+def test_quadrature_matches_closed_form_to_round_off():
+    # 250 seeded points over x 0.05..50, eta 0.1..1, phi 0.1..1.2 and
+    # n_max 0.01..200, plus n_max = 200 at x = 50: five panels, the last
+    # [85, 200]. Any error guard that trips raises.
+    rng = random.Random(20240817)
+    points = [(50.0, 1.0, 0.7, 200.0)] + [
+        (math.exp(rng.uniform(math.log(0.05), math.log(50.0))),
+         rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.2),
+         math.exp(rng.uniform(math.log(0.01), math.log(200.0))))
+        for _ in range(250)]
+    for x, eta, phi, n_max in points:
+        params = CavityParams.from_cooperativity(x, eta=eta)
+        quad = quadrature_single(params, phi, n_max)
+        closed = coherent_single(params, phi, n_max)
+        assert abs(quad.p_success - closed.p_success) <= 1e-12, (x, n_max)
+        assert abs(quad.fidelity - closed.fidelity) <= 1e-12, (x, n_max)
+        assert abs(quad.p1_conditional - closed.p1_conditional) <= 1e-12
 
 
 def test_quadrature_with_too_few_nodes_trips_its_error_guard(monkeypatch):
