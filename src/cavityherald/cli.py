@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification/optimization failure, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -75,14 +76,28 @@ def _emit(rows: list[dict], cfg: dict) -> None:
         lines = [",".join(rows[0])]
         lines += [",".join(map(_fmt_cell, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
-    _write(text, cfg)
+    with _output(cfg) as sink:
+        _write(text, sink)
 
 
-def _write(text: str, cfg: dict) -> None:
+def _output(cfg: dict):
+    """The `out` file opened for writing, or a null context for stdout; an
+    unwritable path is a usage error."""
     if not cfg.get("out"):
+        return contextlib.nullcontext()
+    try:
+        return open(cfg["out"], "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}")
+
+
+def _write(text: str, sink) -> None:
+    # sink: what `_output` entered, None for stdout
+    if sink is None:
         return click.echo(text, nl=False)
     try:
-        pathlib.Path(cfg["out"]).write_text(text)
+        sink.write(text)
+        sink.flush()  # so that a failing flush is a usage error too
     except OSError as exc:
         raise click.UsageError(f"cannot write output: {exc}")
 
@@ -196,15 +211,19 @@ def cmd_response(config, x_values, n_values, fmt, out) -> None:
     cfg = _settings(config, x_grid=x_values, n_values=n_values, format=fmt,
                     out=out)
     try:  # the library rejects negative or too large x and bad atom counts
-        rows = [{"x": float(x), "N": int(n),
-                 "R": reflection_probability(x, n),
-                 "T": transmission_probability(x, n),
-                 "lambda": scattering_loss(x, n)}
+        rows = [_response_row(x, n)
                 for x in cfg.get("x_grid") or default_x_grid()
                 for n in cfg.get("n_values", [0, 1, 2])]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(rows, cfg)
+
+
+def _response_row(x: float, n: int) -> dict:
+    r = reflection_probability(x, n)  # validates (x, n) before int(n)
+    return {"x": float(x), "N": int(n), "R": r,
+            "T": transmission_probability(x, n),
+            "lambda": scattering_loss(x, n)}
 
 
 @main.command("spectrum")
@@ -359,8 +378,9 @@ def cmd_verify(ctx, config, seed, samples, out) -> None:
         raise click.UsageError(f"need at least {oracle.MIN_SAMPLES} samples")
     if given.get("seed", 0) < 0:
         raise click.UsageError("the seed must be nonnegative")
-    report = oracle.run_verification_suite(**given)
-    _write(json.dumps(report, indent=2) + "\n", cfg)
+    with _output(cfg) as sink:  # opened first, so a bad path fails fast
+        report = oracle.run_verification_suite(**given)
+        _write(json.dumps(report, indent=2) + "\n", sink)
     if not report["passed"]:
         ctx.exit(1)
 

@@ -7,12 +7,17 @@ response is the cooperativity x = g^2 / (kappa * gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 
 def _check_n(n_atoms: int) -> int:
-    if n_atoms < 0 or float(n_atoms) != int(n_atoms):
+    try:  # is_integer() is False for inf and NaN
+        ok = n_atoms >= 0 and float(n_atoms).is_integer()
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"atom count must be a nonnegative integer, got {n_atoms}")
     return int(n_atoms)
 
@@ -28,7 +33,12 @@ def _check_xn(x: float, n_atoms: int) -> int:
     if not 0.0 <= x <= X_MAX:
         raise ValueError(
             f"cooperativity must lie in [0, X_MAX = {X_MAX:g}], got {x}")
-    return _check_n(n_atoms)
+    n = _check_n(n_atoms)
+    # the closed forms square 1 + 4 N x, which must stay finite
+    c = 1.0 + 4.0 * n * x
+    if c * c == math.inf:
+        raise ValueError(f"(1 + 4 N x)^2 overflows at x = {x}, N = {n_atoms}")
+    return n
 
 
 def reflection_probability(x: float, n_atoms: int) -> float:
@@ -125,6 +135,15 @@ class CavityParams:
         if self.g_tilde > 0 and self.kappa_tilde == 0:
             raise ValueError("g_tilde > 0 requires kappa_tilde > 0")
 
+    @functools.cached_property
+    def _resonant_rates(self) -> tuple[float, float, float]:
+        # (R1, R2, lambda1) at the effective cooperativity, worked out on
+        # first use and kept in the instance __dict__, which equality,
+        # hashing and repr do not read; replace() builds a new instance
+        x = effective_cooperativity_ring(self)
+        return (reflection_probability(x, 1), reflection_probability(x, 2),
+                scattering_loss(x, 1))
+
     @property
     def kappa(self) -> float:
         return self.kappa_a + self.kappa_b
@@ -161,6 +180,22 @@ class CavityParams:
                    **scaled, **rest)
 
 
+def _frozen(cls, values: dict):
+    """An instance of the frozen dataclass `cls` whose fields hold `values`,
+    given for every field in declaration order. It skips __init__, with its
+    one object.__setattr__ per field, so the caller owns __init__'s work."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+def _probabilities(r: complex, t: complex) -> tuple[float, float, float]:
+    # (R, T, loss) of amplitudes r and t
+    R = abs(r) ** 2
+    T = abs(t) ** 2
+    return R, T, 1.0 - R - T
+
+
 @dataclass(frozen=True)
 class SpectrumPoint:
     """Complex scattering amplitudes and probabilities at one probe frequency.
@@ -176,11 +211,9 @@ class SpectrumPoint:
     loss: float = field(init=False)
 
     def __post_init__(self) -> None:
-        R = abs(self.r) ** 2
-        T = abs(self.t) ** 2
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "loss", 1.0 - R - T)
+        for name, value in zip(("R", "T", "loss"),
+                               _probabilities(self.r, self.t)):
+            object.__setattr__(self, name, value)
 
 
 def scattering_amplitudes(params: CavityParams, omega: float,
@@ -207,7 +240,8 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     Re D >= kappa/2 > 0 and there is no singular branch. On resonance
     (omega = delta = 0) with symmetric mirrors the probabilities reduce to the
     closed forms of `reflection_probability` and `transmission_probability`
-    exactly. A non-finite omega raises ValueError.
+    exactly. A non-finite omega raises ValueError, and so do rates whose
+    amplitudes overflow to NaN, such as N g^2 beyond float range.
     """
     if not math.isfinite(omega):
         raise ValueError(f"probe frequency must be finite, got {omega}")
@@ -216,7 +250,12 @@ def scattering_amplitudes(params: CavityParams, omega: float,
          + n * params.g ** 2 / (params.gamma / 2.0 + 1j * (params.delta - omega)))
     r = 1.0 - params.kappa_a / d
     t = -math.sqrt(params.kappa_a * params.kappa_b) / d
-    return SpectrumPoint(omega=omega, r=r, t=t)
+    R, T, loss = _probabilities(r, t)
+    if not math.isfinite(loss):
+        raise ValueError(f"the amplitudes overflow at N = {n_atoms}, "
+                         f"g = {params.g}, omega = {omega}")
+    return _frozen(SpectrumPoint, {"omega": omega, "r": r, "t": t,
+                                   "R": R, "T": T, "loss": loss})
 
 
 def effective_cooperativity_ring(params: CavityParams) -> float:

@@ -142,6 +142,10 @@ def optimize_fock_single(params: CavityParams,
     P_s grows with p1, so the optimum sits exactly on the constraint:
     tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F.
 
+    The row reports `protocol.fock_single`'s P_s at that angle, and F in the
+    scale-free form above: the scheme's own F = p1 R1 / (p1 R1 + p2 R2)
+    rounds to 1 where p2 R2 underflows (x ~ 1e-154 at F = 1 - 1e-9).
+
     A subnormal R1 (x below about 3.7e-155) keeps too few digits for that
     inversion; such a row is infeasible, like R1 = 0.
     """
@@ -152,12 +156,10 @@ def optimize_fock_single(params: CavityParams,
         return _result(params, Scheme.FOCK_SINGLE, f_target, 1)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
-    check = protocol.fock_single(params, phi)
-    if check.fidelity is None or abs(check.fidelity - f_target) > 1e-10:
-        raise RuntimeError(
-            f"constraint inversion failed: wanted F={f_target}, "
-            f"got {check.fidelity}")
-    return _result(params, Scheme.FOCK_SINGLE, f_target, 2, check, phi)
+    fid = 1.0 / (1.0 + math.tan(phi) ** 2 * r2 / (2.0 * r1))
+    ps = protocol.fock_single(params, phi).p_success
+    return _result(params, Scheme.FOCK_SINGLE, f_target, 2,
+                   protocol._outcome(ps, fid), phi)
 
 
 def optimize_fock_double(params: CavityParams,

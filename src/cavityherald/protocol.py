@@ -17,12 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    CavityParams,
-    effective_cooperativity_ring,
-    reflection_probability,
-    scattering_loss,
-)
+from .core import CavityParams, _frozen
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -59,27 +54,42 @@ class SchemeOutcome:
     n_success: int | None = None
 
 
+def _outcome(p_success: float, fidelity: float | None,
+             p1_conditional: float | None = None,
+             re_coherence: float | None = None,
+             status: str = STATUS_OK) -> SchemeOutcome:
+    # a closed-form SchemeOutcome, without the Monte Carlo fields
+    return _frozen(SchemeOutcome, {
+        "p_success": p_success, "fidelity": fidelity, "status": status,
+        "p1_conditional": p1_conditional, "re_coherence": re_coherence,
+        "p_success_err": None, "fidelity_err": None, "n_success": None})
+
+
+def _populations(phi: float) -> tuple[float, float, float]:
+    # (p0, p1, p2) of `initial_populations`
+    if not 0.0 <= phi <= math.pi / 2:
+        raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
+    s2 = math.sin(phi) ** 2
+    c2 = math.cos(phi) ** 2
+    return c2 * c2, 2.0 * s2 * c2, s2 * s2
+
+
 def initial_populations(phi: float) -> Preparation:
     """Populations of the 0-, 1-, and 2-atom sectors after preparation.
 
     p0 = cos^4(phi), p1 = 2 sin^2(phi) cos^2(phi), p2 = sin^4(phi).
     """
-    if not 0.0 <= phi <= math.pi / 2:
-        raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-    s2 = math.sin(phi) ** 2
-    c2 = math.cos(phi) ** 2
-    return Preparation(phi=phi, p0=c2 * c2, p1=2.0 * s2 * c2, p2=s2 * s2)
+    return Preparation(phi, *_populations(phi))
 
 
 def _rates(params: CavityParams) -> tuple[float, float, float]:
-    # (R1, R2, lambda1) at the effective cooperativity; the closed forms hold
-    # for symmetric mirrors on resonance only, so anything else is rejected
+    # (R1, R2, lambda1) at the effective cooperativity, worked out once per
+    # params instance; the closed forms hold for symmetric mirrors on
+    # resonance only, so anything else is rejected, on every call
     if params.kappa_a != params.kappa_b or params.delta != 0.0:
         raise ValueError("the schemes model symmetric mirrors on resonance "
                          "only: kappa_a must equal kappa_b and delta be 0")
-    x = effective_cooperativity_ring(params)
-    return (reflection_probability(x, 1), reflection_probability(x, 2),
-            scattering_loss(x, 1))
+    return params._resonant_rates
 
 
 def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
@@ -89,15 +99,13 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     spontaneous emission, so Re xi = p1c / 2 and
     F = p1 R1 / (p1 R1 + p2 R2), independent of eta.
     """
-    prep = initial_populations(phi)
+    _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
-    denom = prep.p1 * r1 + prep.p2 * r2
+    denom = p1 * r1 + p2 * r2
     if denom == 0.0:
-        return SchemeOutcome(p_success=0.0, fidelity=None,
-                             status=STATUS_UNDEFINED)
-    fid = prep.p1 * r1 / denom
-    return SchemeOutcome(p_success=params.eta * denom, fidelity=fid,
-                         p1_conditional=fid, re_coherence=fid / 2.0)
+        return _outcome(0.0, None, status=STATUS_UNDEFINED)
+    fid = p1 * r1 / denom
+    return _outcome(params.eta * denom, fid, fid, fid / 2.0)
 
 
 def fock_double(params: CavityParams) -> SchemeOutcome:
@@ -115,8 +123,7 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
         fid = false_reflection_fidelity(params, params.f)
     else:
         fid = 1.0
-    return SchemeOutcome(p_success=ps, fidelity=fid, p1_conditional=1.0,
-                         re_coherence=fid - 0.5)
+    return _outcome(ps, fid, 1.0, fid - 0.5)
 
 
 def false_reflection_fidelity(params: CavityParams, f: float) -> float:
@@ -145,10 +152,10 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     """
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
-    prep = initial_populations(phi)
+    _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
-    a = prep.p1 * r1 * math.exp(-params.eta * r1 * n)
-    b = prep.p2 * r2 * math.exp(-params.eta * r2 * n)
+    a = p1 * r1 * math.exp(-params.eta * r1 * n)
+    b = p2 * r2 * math.exp(-params.eta * r2 * n)
     if a + b == 0.0:
         return None
     return a / (a + b)
@@ -176,10 +183,10 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     """
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
-    prep = initial_populations(phi)
+    _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
-    return (params.eta * prep.p1 * r1 * math.exp(-params.eta * r1 * n)
-            + params.eta * prep.p2 * r2 * math.exp(-params.eta * r2 * n))
+    return (params.eta * p1 * r1 * math.exp(-params.eta * r1 * n)
+            + params.eta * p2 * r2 * math.exp(-params.eta * r2 * n))
 
 
 def coherent_single(params: CavityParams, phi: float,
@@ -197,20 +204,17 @@ def coherent_single(params: CavityParams, phi: float,
     """
     if not 0.0 < n_max < math.inf:
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
-    prep = initial_populations(phi)
+    _, p1, p2 = _populations(phi)
     r1, r2, lam = _rates(params)
     a, b = params.eta * r1, params.eta * r2
     click1 = -math.expm1(-a * n_max)
-    ps = prep.p1 * click1 + prep.p2 * -math.expm1(-b * n_max)
+    ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
     if ps == 0.0:
-        return SchemeOutcome(p_success=0.0, fidelity=None,
-                             status=STATUS_UNDEFINED)
-    p1c_avg = prep.p1 * click1 / ps
+        return _outcome(0.0, None, status=STATUS_UNDEFINED)
+    p1c_avg = p1 * click1 / ps
     # ps > 0 means x > 0, so lam > 0
-    coh = (prep.p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max)
-           / (2.0 * ps))
-    return SchemeOutcome(p_success=ps, fidelity=p1c_avg / 2.0 + coh,
-                         p1_conditional=p1c_avg, re_coherence=coh)
+    coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
+    return _outcome(ps, p1c_avg / 2.0 + coh, p1c_avg, coh)
 
 
 def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
@@ -310,10 +314,8 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     r1, _, lam = _rates(params)
     ps, fid, _ = _double_click_terms(params.eta * r1, lam, n_max)
     if fid is None:
-        return SchemeOutcome(p_success=0.0, fidelity=None,
-                             status=STATUS_UNDEFINED)
-    return SchemeOutcome(p_success=ps, fidelity=fid, p1_conditional=1.0,
-                         re_coherence=fid - 0.5)
+        return _outcome(0.0, None, status=STATUS_UNDEFINED)
+    return _outcome(ps, fid, 1.0, fid - 0.5)
 
 
 def coherent_double_fidelity_uncorrected(params: CavityParams,

@@ -80,6 +80,33 @@ def test_negative_cooperativity_or_atom_count_is_a_usage_error(runner, args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("config", [
+    '{"n_values": [Infinity], "x_grid": [1.0]}',
+    '{"n_values": [NaN], "x_grid": [1.0]}',
+    '{"n_values": [1e300], "x_grid": [1e10]}',
+], ids=["infinite", "nan", "overflowing-4Nx"])
+def test_response_rejects_atom_counts_it_cannot_model(runner, tmp_path,
+                                                      config):
+    # an infinite count used to end in an OverflowError traceback (exit 1),
+    # and 4 N x = 4e310 in a table of R = nan (exit 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    res = invoke(runner, "response", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("n_atoms", ["Infinity", "1e300"])
+def test_spectrum_rejects_atom_counts_it_cannot_model(runner, tmp_path,
+                                                      n_atoms):
+    # N g^2 = 1e310 made every amplitude nan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"x": 1e10, "n_atoms": {n_atoms}}}')
+    res = invoke(runner, "spectrum", "--config", str(cfg), "--omega", "0")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
 # ------------------------------------------------------------------- spectrum
 
 def test_spectrum_header_and_resonant_row(runner):
@@ -571,6 +598,28 @@ def test_verify_negative_seed_is_a_usage_error(runner, tmp_path, route):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "seed" in res.output
+
+
+def test_verify_checks_its_output_path_before_running_the_suite(
+        runner, tmp_path, monkeypatch):
+    def suite(**kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr("cavityherald.oracle.run_verification_suite", suite)
+    res = invoke(runner, "verify", "--samples", "20000", "--out",
+                 str(tmp_path / "missing" / "report.json"))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "cannot write output" in res.output
+
+
+def test_verify_writes_its_report_to_out(runner, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("stale")
+    res = invoke(runner, "verify", "--samples", "20000", "--out", str(out))
+    assert res.exit_code == 0
+    assert res.stdout == ""
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_verify_failure_exit_code(runner, monkeypatch):

@@ -1,5 +1,6 @@
 """Resonant response closed forms and the general scattering amplitudes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityherald.core import (
+    X_MAX,
     CavityParams,
+    SpectrumPoint,
     effective_cooperativity_ring,
     reflection_probability,
     scattering_amplitudes,
@@ -42,6 +45,36 @@ def test_input_validation():
         scattering_loss(1.0, -1)
     with pytest.raises(ValueError):
         transmission_probability(1.0, 1.5)
+
+
+@pytest.mark.parametrize("x, n", [
+    (1.0, math.inf), (1.0, math.nan), (1.0, 10 ** 400), (1e10, 1e300),
+    (X_MAX, 10 ** 60),
+], ids=["infinite", "nan", "int-beyond-float", "4Nx-overflows",
+        "square-overflows"])
+def test_closed_forms_reject_atom_counts_they_cannot_model(x, n):
+    # these raised OverflowError or returned nan
+    for closed_form in (reflection_probability, transmission_probability,
+                        scattering_loss):
+        with pytest.raises(ValueError):
+            closed_form(x, n)
+
+
+def test_closed_forms_accept_large_finite_products():
+    # (1 + 4 N x)^2 = 1.6e301 is still a float
+    assert reflection_probability(X_MAX, 10 ** 50) == 1.0
+    assert math.isclose(transmission_probability(X_MAX, 10 ** 50), 6.25e-302,
+                        rel_tol=1e-14)
+    assert math.isclose(scattering_loss(X_MAX, 10 ** 50), 5e-151,
+                        rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan, 10 ** 400, 10 ** 300],
+                         ids=["infinite", "nan", "int-beyond-float",
+                              "coupling-overflows"])
+def test_spectrum_rejects_atom_counts_it_cannot_model(n):
+    with pytest.raises(ValueError):
+        scattering_amplitudes(CavityParams.from_cooperativity(1e10), 0.0, n)
 
 
 @given(xs, ns)
@@ -111,6 +144,30 @@ def test_spectrum_symmetric_in_omega_without_detuning():
         b = scattering_amplitudes(p, -w, 2)
         assert math.isclose(a.R, b.R, rel_tol=1e-12)
         assert math.isclose(a.T, b.T, rel_tol=1e-12)
+
+
+def test_spectrum_points_match_the_public_constructor():
+    names = [f.name for f in dataclasses.fields(SpectrumPoint)]
+    params = CavityParams(g=0.9, kappa_a=0.3, kappa_b=0.7, delta=0.4)
+    for n in (0, 1, 2):
+        for omega in (-3.0, 0.0, 1.5):
+            point = scattering_amplitudes(params, omega, n)
+            rebuilt = SpectrumPoint(omega=point.omega, r=point.r, t=point.t)
+            assert type(point) is SpectrumPoint
+            assert list(vars(point)) == names
+            assert vars(point) == vars(rebuilt)
+            assert point == rebuilt
+            assert hash(point) == hash(rebuilt)
+            assert repr(point) == repr(rebuilt)
+
+
+def test_spectrum_points_stay_frozen_and_replaceable():
+    point = scattering_amplitudes(CavityParams.from_cooperativity(1.0), 0.0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.R = 0.5
+    # R, T and loss are not init fields: replace() recomputes them
+    moved = dataclasses.replace(point, r=0.6 + 0j, t=-0.2 + 0j)
+    assert (moved.R, moved.T, moved.loss) == (0.36, point.T, 0.6)
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])

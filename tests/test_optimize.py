@@ -6,6 +6,7 @@ is established separately in tests/test_acceptance.py.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,45 @@ def test_fock_single_saturates_fidelity(f_target, x):
     worse = fock_single(with_cooperativity(P1, x), min(res.phi_opt * 1.05,
                                                        math.pi / 2))
     assert worse.fidelity < f_target
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-160.0, max_value=3.0),
+       st.one_of(st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
+                           exclude_max=True),
+                 st.floats(min_value=-16.0, max_value=-1.0).map(
+                     lambda e: 1.0 - 10.0 ** e)),
+       st.floats(min_value=0.0, max_value=1.0), st.booleans())
+@example(-154.0, 1.0 - 1e-9, 1.0, False)  # p2 R2 underflows to 0 here
+@example(math.log10(3.8e-155), 1.0 - 1e-9, 0.5, False)
+def test_fock_single_row_sits_on_the_floor_at_every_scale(log_x, f_target,
+                                                          eta, ring):
+    # the row used to be checked at run time, and F = p1 R1 / (p1 R1 +
+    # p2 R2) rounded to 1 for x from 3.8e-155 to 1.2e-153 at F = 1 - 1e-9
+    ring_mode = {"g_tilde": 0.7, "kappa_tilde": 1.3} if ring else {}
+    params = CavityParams.from_cooperativity(10.0 ** log_x, eta=eta,
+                                             **ring_mode)
+    res = optimize_fock_single(params, f_target)
+    r1, _, _ = protocol._rates(params)
+    if r1 < sys.float_info.min:
+        assert res.status == STATUS_INFEASIBLE
+        return
+    assert res.status == STATUS_OK
+    assert abs(res.fidelity_achieved - f_target) <= 4 * math.ulp(f_target)
+    assert res.p_success == fock_single(params, res.phi_opt).p_success
+    want = eta * protocol.initial_populations(res.phi_opt).p1 * r1 / f_target
+    if want > 1e-290:  # a normal P_s keeps its digits
+        assert math.isclose(res.p_success, want, rel_tol=4e-15)
+
+
+def test_fock_single_sweep_survives_an_underflowing_two_atom_term():
+    f_target = 1.0 - 1e-9
+    rows = sweep(SweepSpec(x_grid=(1e-154, 1.0), eta=1.0, f_target=f_target,
+                           scheme=Scheme.FOCK_SINGLE))
+    assert [r.status for r in rows] == [STATUS_OK, STATUS_OK]
+    for r in rows:
+        assert abs(r.fidelity_achieved - f_target) <= 4 * math.ulp(f_target)
+        assert r.p_success > 0.0
 
 
 def test_fock_double_branches():

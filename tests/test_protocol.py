@@ -6,17 +6,25 @@ coherent-scheme numbers from adaptive quadrature of the click density and from
 a 10^6-sample Monte Carlo run (see tests/test_oracle.py for the live checks).
 """
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavityherald.core import CavityParams, with_cooperativity
+from cavityherald.core import (
+    CavityParams,
+    reflection_probability,
+    scattering_loss,
+    with_cooperativity,
+)
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
+    SchemeOutcome,
     _erlang2_cdf,
+    _rates,
     coherent_conditional_fidelity,
     coherent_conditional_population,
     coherent_double,
@@ -362,3 +370,86 @@ def test_schemes_reject_asymmetric_or_detuned_cavities(params, evaluate):
     with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
         evaluate(params)
 
+
+
+# ------------------------------------------ result objects and cached rates
+
+_SCHEMES = {
+    "fock_single": lambda p: fock_single(p, 0.7),
+    "fock_double": fock_double,
+    "coherent_single": lambda p: coherent_single(p, 0.7, 2.0),
+    "coherent_double": lambda p: coherent_double(p, 2.0),
+}
+_SETS = {
+    "ok": CavityParams.from_cooperativity(0.4, eta=0.8, f=0.05),
+    "ring": CavityParams.from_cooperativity(1.0, g_tilde=0.5, kappa_tilde=2.0),
+    "undefined": CavityParams.from_cooperativity(0.0),
+}
+
+
+@pytest.mark.parametrize("params", _SETS.values(), ids=_SETS)
+@pytest.mark.parametrize("evaluate", _SCHEMES.values(), ids=_SCHEMES)
+def test_outcomes_match_the_public_constructor(evaluate, params):
+    out = evaluate(params)
+    rebuilt = SchemeOutcome(**vars(out))
+    assert type(out) is SchemeOutcome
+    assert list(vars(out)) == [f.name for f in dataclasses.fields(out)]
+    assert vars(out) == vars(rebuilt)
+    assert out == rebuilt
+    assert hash(out) == hash(rebuilt)
+    assert repr(out) == repr(rebuilt)
+
+
+@pytest.mark.parametrize("evaluate", _SCHEMES.values(), ids=_SCHEMES)
+def test_outcomes_stay_frozen_and_replaceable(evaluate):
+    out = evaluate(P1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.fidelity = 0.5
+    changed = dataclasses.replace(out, fidelity=0.5)
+    assert changed.fidelity == 0.5
+    assert changed.p_success == out.p_success
+    assert out.fidelity != 0.5
+
+
+@pytest.mark.parametrize("params", _UNMODELLED, ids=["asymmetric", "detuned"])
+def test_rates_reject_unmodelled_sets_on_every_call(params):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+            _rates(params)
+    # not even once the rates are worked out and kept on the instance
+    assert len(params._resonant_rates) == 3
+    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+        _rates(params)
+
+
+def _closed_form_rates(x):
+    return (reflection_probability(x, 1), reflection_probability(x, 2),
+            scattering_loss(x, 1))
+
+
+def test_copies_of_params_get_fresh_rates():
+    params = CavityParams.from_cooperativity(1.0, eta=0.7)
+    assert _rates(params) == _closed_form_rates(1.0)
+    assert _rates(with_cooperativity(params, 0.25)) == _closed_form_rates(
+        0.25)
+    # a matched ring mode: x_eff = x / (1 + 4 x) = 0.2
+    ring = dataclasses.replace(params, g_tilde=1.0, kappa_tilde=1.0)
+    assert _rates(ring) == _closed_form_rates(0.2)
+    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+        _rates(dataclasses.replace(params, delta=1.0))
+    assert _rates(params) == _closed_form_rates(1.0)
+    assert fock_single(params, 0.7) == fock_single(
+        CavityParams.from_cooperativity(1.0, eta=0.7), 0.7)
+
+
+def test_reading_rates_leaves_params_equality_hash_and_repr():
+    params = CavityParams.from_cooperativity(0.3, eta=0.9)
+    twin = CavityParams.from_cooperativity(0.3, eta=0.9)
+    before = repr(params), hash(params)
+    _rates(params)
+    assert (repr(params), hash(params)) == before
+    assert params == twin
+    assert hash(params) == hash(twin)
+    assert {twin: "found"}[params] == "found"
+    assert dataclasses.asdict(params) == dataclasses.asdict(twin)
+    assert params != with_cooperativity(params, 0.4)
