@@ -34,9 +34,10 @@ def _check_xn(x: float, n_atoms: int) -> int:
         raise ValueError(
             f"cooperativity must lie in [0, X_MAX = {X_MAX:g}], got {x}")
     n = _check_n(n_atoms)
-    # the closed forms square 1 + 4 N x, which must stay finite
+    # the closed forms square 1 + 4 N x, which must stay finite; it is NaN
+    # where 4 N alone overflows and x = 0
     c = 1.0 + 4.0 * n * x
-    if c * c == math.inf:
+    if not c * c < math.inf:
         raise ValueError(f"(1 + 4 N x)^2 overflows at x = {x}, N = {n_atoms}")
     return n
 

@@ -49,9 +49,9 @@ def test_input_validation():
 
 @pytest.mark.parametrize("x, n", [
     (1.0, math.inf), (1.0, math.nan), (1.0, 10 ** 400), (1e10, 1e300),
-    (X_MAX, 10 ** 60),
+    (X_MAX, 10 ** 60), (0.0, 1e308),
 ], ids=["infinite", "nan", "int-beyond-float", "4Nx-overflows",
-        "square-overflows"])
+        "square-overflows", "4N-overflows-at-x0"])
 def test_closed_forms_reject_atom_counts_they_cannot_model(x, n):
     # these raised OverflowError or returned nan
     for closed_form in (reflection_probability, transmission_probability,
