@@ -242,13 +242,17 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     (omega = delta = 0) with symmetric mirrors the probabilities reduce to the
     closed forms of `reflection_probability` and `transmission_probability`
     exactly. A non-finite omega raises ValueError, and so do rates whose
-    amplitudes overflow to NaN, such as N g^2 beyond float range.
+    amplitudes overflow to NaN, such as g^2 or N g^2 beyond float range.
     """
     if not math.isfinite(omega):
         raise ValueError(f"probe frequency must be finite, got {omega}")
     n = _check_n(n_atoms)
+    try:
+        g2 = params.g ** 2
+    except OverflowError:  # g above about 1.34e154: NaN takes the check below
+        g2 = math.nan
     d = (params.kappa / 2.0 - 1j * omega
-         + n * params.g ** 2 / (params.gamma / 2.0 + 1j * (params.delta - omega)))
+         + n * g2 / (params.gamma / 2.0 + 1j * (params.delta - omega)))
     r = 1.0 - params.kappa_a / d
     t = -math.sqrt(params.kappa_a * params.kappa_b) / d
     R, T, loss = _probabilities(r, t)

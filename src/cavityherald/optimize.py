@@ -4,12 +4,14 @@ In every scheme the fidelity falls as the success probability rises, so the
 optimum sits on the floor. The optimizers solve for it exactly:
 - Fock single: the floor fixes the angle in closed form;
 - Fock double: the angle is pinned and only feasibility is checked;
-- coherent double: the largest feasible photon budget, by bisection;
+- coherent double: the largest feasible photon budget, found where
+  F - F_target changes sign;
 - coherent single: the floor fixes the angle in closed form at every budget,
   and the success probability on the floor is maximized over the budget
-  from a coarse grid and a bisection on the sign of its derivative.
-Every search is deterministic, with no RNG, so identical inputs give
-bit-identical results.
+  from a coarse grid and a search on the sign of its derivative.
+Each budget search (`_search`) runs capped regula falsi on the signed value
+and then bisects, to float adjacency. Every search is deterministic, with
+no RNG, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -29,6 +32,8 @@ from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
+_FALSI_STEPS = 20  # regula falsi steps of a budget search before it bisects
+_ZERO_STEP = 1 / 256  # share of the bracket a search steps past a zero
 
 STATUS_INFEASIBLE = "infeasible"
 
@@ -40,12 +45,18 @@ class Scheme(str, enum.Enum):
     COHERENT_DOUBLE = "coherent-double"
 
 
+_FOCK = (Scheme.FOCK_SINGLE, Scheme.FOCK_DOUBLE)  # the schemes with no budget
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """One optimizer answer; `n_max_opt` is None for the Fock schemes and
     `status` is "infeasible" when no point satisfies the fidelity floor.
-    `n_evals` counts the closed-form evaluations the row took; it is left
-    out of repr() and equality, so results compare and print by value."""
+    `n_evals` counts the closed-form evaluations the row took, and
+    `budget_capped` says whether a coherent row's budget is N_MAX_CEILING
+    (None for the Fock schemes, False for an infeasible coherent row). Both
+    are left out of repr() and equality, so results compare and print by
+    value."""
 
     x: float
     scheme: Scheme
@@ -57,6 +68,8 @@ class OptimizationResult:
     fidelity_achieved: float | None
     status: str = STATUS_OK
     n_evals: int | None = field(default=None, compare=False, repr=False)
+    budget_capped: bool | None = field(default=None, compare=False,
+                                       repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,20 +131,46 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
         p_success=0.0 if out is None else out.p_success,
         fidelity_achieved=None if out is None else out.fidelity,
         status=STATUS_INFEASIBLE if out is None else STATUS_OK,
-        n_evals=n_evals)
+        n_evals=n_evals,
+        budget_capped=(None if scheme in _FOCK else n_max == N_MAX_CEILING))
 
 
-def _bisect(holds: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The last float lo with holds(lo) once [lo, hi] is bisected to float
-    adjacency, given holds(lo) and not holds(hi)."""
-    while True:
+def _search(value: Callable[[float], float], lo: float, hi: float,
+            v_lo: float, v_hi: float) -> float:
+    """The last float lo with value(lo) >= 0 once [lo, hi] is narrowed to
+    float adjacency, given v_lo = value(lo) >= 0 and not v_hi = value(hi) >= 0.
+
+    The first _FALSI_STEPS steps are regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11, 168, 1971): each goes to the
+    secant root of the two ends, and an end kept for a second step in a row
+    has its value halved. A value of exactly 0 at lo puts the crossing
+    within rounding above lo but gives the secant no scale, so the step
+    goes _ZERO_STEP of the bracket past lo instead. A step bisects when the
+    secant is not finite or not strictly inside the bracket, as with a -inf
+    end; later steps all bisect. Only the sign of value decides which end
+    moves, so where value >= 0 is monotone in the budget the result is the
+    one a plain bisection finds.
+    """
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    for step in itertools.count():
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return lo
-        if holds(mid):
-            lo = mid
+        x = mid
+        if step < _FALSI_STEPS:
+            w = v_lo / (v_lo - v_hi) if v_lo > 0.0 else _ZERO_STEP
+            x = lo + (hi - lo) * w
+            if not lo < x < hi:
+                x = mid
+        v = value(x)
+        if v >= 0.0:
+            if moved > 0:
+                v_hi *= 0.5
+            lo, v_lo, moved = x, v, 1
         else:
-            hi = mid
+            if moved < 0:
+                v_lo *= 0.5
+            hi, v_hi, moved = x, v, -1
 
 
 def optimize_fock_single(params: CavityParams,
@@ -182,10 +221,11 @@ def optimize_coherent_single(params: CavityParams,
     so the best angle puts F exactly on the floor, at the closed-form
     t*(n_max) of `protocol._coherent_single_floor`. That leaves one variable:
     P_s on the floor, P*(n_max), is evaluated with its closed-form slope on
-    a coarse log grid, and every grid cell where the slope turns negative
-    is bisected to float adjacency on the slope's sign. The best of these
-    local maxima, the ceiling N_MAX_CEILING when P* still rises there, and
-    the best grid point wins.
+    a coarse log grid. Every grid cell where the slope turns negative is
+    searched to float adjacency on the slope's sign (`_search`), with the
+    grid's slopes as the values at the cell's ends. The best of these local
+    maxima, the ceiling N_MAX_CEILING when P* still rises there, and the
+    best grid point wins.
     """
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
@@ -201,23 +241,25 @@ def optimize_coherent_single(params: CavityParams,
     if p_star[best] <= 0.0:  # no budget admits an angle on the floor
         return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
 
-    def rising(nm: float) -> bool:
-        # P* positive and not falling at nm, the test `rises` makes below
+    def rise(nm: float) -> float:
+        # P*'s slope where P* > 0, else -inf: >= 0 exactly where P* rises
         nonlocal n_evals
         n_evals += 1
         _, ps, slope = floor(nm)
-        return ps > 0.0 and slope >= 0.0
+        return slope if ps > 0.0 else -math.inf
 
     # P* rises where it is positive with slope >= 0, so each grid cell where
     # that stops holds a local maximum, and so does the ceiling if P* still
     # rises there. P* can have two, a peak and then a plateau approached
-    # from below, so all of them compete, with the best grid point.
-    rises = [ps > 0.0 and slope >= 0.0 for _, ps, slope in coarse]
-    peaks = [_bisect(rising, grid[k], grid[k + 1])
-             for k in range(len(grid) - 1) if rises[k] and not rises[k + 1]]
+    # from below, so all of them compete, with the best grid point. The
+    # grid's values are the ends of each cell's search.
+    rises = [slope if ps > 0.0 else -math.inf for _, ps, slope in coarse]
+    peaks = [_search(rise, grid[k], grid[k + 1], rises[k], rises[k + 1])
+             for k in range(len(grid) - 1)
+             if rises[k] >= 0.0 and not rises[k + 1] >= 0.0]
     n_evals += len(peaks)  # each peak is evaluated once more, for its P*
     found = [(nm, floor(nm)) for nm in peaks]
-    if rises[-1]:
+    if rises[-1] >= 0.0:
         found.append((grid[-1], coarse[-1]))
     found.append((grid[best], coarse[best]))
     nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
@@ -234,24 +276,28 @@ def optimize_coherent_double(params: CavityParams,
     photon total, falls from 1 toward its infinite-budget limit: a larger
     budget adds only mass at S > n_max, where e^{-lambda S} lies below every
     value already averaged. So the best budget is the largest feasible one,
-    found by bisection. When the limit still clears the target the budget
-    cap is returned and P_s sits on its 1/2 plateau.
+    the last float where F - f_target >= 0, found by `_search`. When the
+    limit still clears the target the budget cap is returned and P_s sits
+    on its 1/2 plateau.
     """
     _check_target(f_target)
     r1, _, lam = protocol._rates(params)
     a = params.eta * r1
     n_evals = 0
 
-    def feasible(nm: float) -> bool:
+    def margin(nm: float) -> float:
+        # F - f_target, whose sign is exact, or -inf where F is undefined
         nonlocal n_evals
         n_evals += 1
         f = protocol._double_click_terms(a, lam, nm)[1]
-        return f is not None and f >= f_target
+        return -math.inf if f is None else f - f_target
 
-    if not feasible(1e-9):
+    lo, hi = 1e-9, N_MAX_CEILING
+    v_lo = margin(lo)
+    if not v_lo >= 0.0:
         return _result(params, Scheme.COHERENT_DOUBLE, f_target, n_evals)
-    nm = (N_MAX_CEILING if feasible(N_MAX_CEILING)
-          else _bisect(feasible, 1e-9, N_MAX_CEILING))
+    v_hi = margin(hi)
+    nm = hi if v_hi >= 0.0 else _search(margin, lo, hi, v_lo, v_hi)
     return _result(params, Scheme.COHERENT_DOUBLE, f_target, n_evals + 1,
                    protocol.coherent_double(params, nm), math.pi / 4, nm)
 

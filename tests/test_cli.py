@@ -107,6 +107,18 @@ def test_spectrum_rejects_atom_counts_it_cannot_model(runner, tmp_path,
     assert res.stdout == ""
 
 
+def test_spectrum_rejects_a_coupling_whose_square_overflows(runner,
+                                                            tmp_path):
+    # g ** 2 = 1e400 ended in an OverflowError traceback (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"g": 1e200, "kappa_a": 0.5, "kappa_b": 0.5,'
+                   ' "gamma": 1.0}')
+    res = invoke(runner, "spectrum", "--config", str(cfg), "--omega", "0")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "overflow" in res.output
+
+
 # ------------------------------------------------------------------- spectrum
 
 def test_spectrum_header_and_resonant_row(runner):

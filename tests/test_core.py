@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_closed_forms_accept_large_finite_products():
 def test_spectrum_rejects_atom_counts_it_cannot_model(n):
     with pytest.raises(ValueError):
         scattering_amplitudes(CavityParams.from_cooperativity(1e10), 0.0, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("g", [1.35e154, 1e200, sys.float_info.max])
+def test_spectrum_rejects_a_coupling_whose_square_overflows(g, n):
+    # g ** 2 raised OverflowError above g = 1.34e154, even with no atoms
+    params = CavityParams(g=g, kappa_a=0.5, kappa_b=0.5)
+    with pytest.raises(ValueError, match="overflow"):
+        scattering_amplitudes(params, 0.0, n)
+
+
+def test_spectrum_keeps_the_largest_coupling_with_a_finite_square():
+    # g^2 = 1.8e307 is still a float: the atoms take all the light
+    params = CavityParams(g=1.34e154, kappa_a=0.5, kappa_b=0.5)
+    point = scattering_amplitudes(params, 0.0, 1)
+    assert (point.R, point.T) == (1.0, 0.0)
 
 
 @given(xs, ns)

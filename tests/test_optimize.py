@@ -5,7 +5,9 @@ is established separately in tests/test_acceptance.py.
 """
 
 import dataclasses
+import hashlib
 import math
+import struct
 import sys
 
 import numpy as np
@@ -17,6 +19,7 @@ from cavityherald import protocol
 from cavityherald.core import X_MAX, CavityParams, with_cooperativity
 from cavityherald.optimize import (
     _COARSE_GRID,
+    _FALSI_STEPS,
     N_MAX_CEILING,
     STATUS_INFEASIBLE,
     STATUS_OK,
@@ -24,6 +27,7 @@ from cavityherald.optimize import (
     Scheme,
     SweepSpec,
     _linspace,
+    _search,
     default_x_grid,
     optimize,
     optimize_coherent_double,
@@ -256,10 +260,49 @@ def test_n_evals_is_hidden_from_repr_and_equality():
 
 
 def test_coherent_single_row_needs_under_2000_evaluations():
-    # 121 grid points, about 50 bisection steps to float adjacency and the
-    # final evaluation
+    # 121 grid points, one budget search to float adjacency and the final
+    # evaluation
     res = optimize_coherent_single(P1, 0.9)
     assert res.n_evals < 300
+
+
+def test_budget_searches_stay_under_measured_evaluation_ceilings():
+    # measured: 21 and 133; a bisection to float adjacency took 65 and 174
+    assert optimize_coherent_double(P1, 0.9).n_evals <= 25
+    assert optimize_coherent_single(P1, 0.9).n_evals <= 150
+
+
+@pytest.mark.parametrize("scheme, f_target, capped", [
+    (Scheme.COHERENT_DOUBLE, 0.6, True),  # the ceiling: 13/18 > 0.6
+    (Scheme.COHERENT_DOUBLE, 0.9, False),
+    (Scheme.COHERENT_SINGLE, 0.6, True),
+    (Scheme.COHERENT_SINGLE, 0.9, False),
+    (Scheme.FOCK_SINGLE, 0.9, None),
+    (Scheme.FOCK_DOUBLE, 0.9, None),
+])
+def test_budget_capped_says_whether_the_ceiling_was_returned(scheme,
+                                                             f_target, capped):
+    res = optimize(P1, scheme, f_target)
+    assert res.budget_capped is capped
+    if capped is not None:
+        assert capped == (res.n_max_opt == N_MAX_CEILING)
+    row, = sweep(SweepSpec(x_grid=(1.0,), eta=1.0, f_target=f_target,
+                           scheme=scheme))
+    assert row.budget_capped is capped
+
+
+@pytest.mark.parametrize("scheme", [Scheme.COHERENT_SINGLE,
+                                    Scheme.COHERENT_DOUBLE])
+def test_infeasible_coherent_row_is_not_budget_capped(scheme):
+    res = optimize(CavityParams.from_cooperativity(0.0), scheme, 0.9)
+    assert res.status == STATUS_INFEASIBLE
+    assert res.budget_capped is False
+
+
+def test_budget_capped_is_hidden_from_repr_and_equality():
+    res = optimize_coherent_double(P1, 0.6)
+    assert "budget_capped" not in repr(res)
+    assert dataclasses.replace(res, budget_capped=None) == res
 
 
 def test_coherent_double_reference_points():
@@ -333,6 +376,158 @@ def test_coherent_double_budget_is_exact_to_float_resolution(eta, f_target):
         assert coherent_double(params, nm).fidelity >= f_target
         above = coherent_double(params, math.nextafter(nm, math.inf))
         assert above.fidelity < f_target
+
+
+def _bisection_steps(holds, lo, hi):
+    # evaluations a plain bisection of [lo, hi] takes to float adjacency
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return steps
+        steps += 1
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+
+
+def _noise(n, seed):
+    # a deterministic draw in [0, 1) per (float, seed)
+    digest = hashlib.blake2b(struct.pack("<dq", n, seed), digest_size=8)
+    return int.from_bytes(digest.digest(), "little") / 2.0 ** 64
+
+
+def _check_search(value, lo, hi, slack=0):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return value(n)
+
+    res = _search(counted, lo, hi, value(lo), value(hi))
+    assert lo <= res < hi
+    assert value(res) >= 0.0
+    assert not value(math.nextafter(res, hi)) >= 0.0
+    steps = _bisection_steps(lambda n: value(n) >= 0.0, lo, hi)
+    assert len(calls) <= _FALSI_STEPS + steps + slack
+    return res, len(calls)
+
+
+search_brackets = st.sampled_from([(1e-9, N_MAX_CEILING), (0.0, 1.0),
+                                   (-5.0, 7.5), (2.0, 2.0 + 1e-6)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket=search_brackets, where=st.floats(0.0, 1.0),
+       scale=st.floats(0.0, 6.0).map(lambda e: 10.0 ** e))
+def test_search_finds_the_last_float_of_a_linear_value(bracket, where,
+                                                       scale):
+    # the sign of scale * (c - n) is exact (scale >= 1 cannot round a
+    # subnormal difference to 0), so the answer is c itself
+    lo, hi = bracket
+    c = min(lo + where * (hi - lo), math.nextafter(hi, lo))
+    res, _ = _check_search(lambda n: scale * (c - n), lo, hi)
+    assert res == c
+
+
+def test_search_on_a_linear_value_needs_few_steps():
+    # the first secant lands on 0.3, where the value is exactly 0; a plain
+    # bisection of [1e-9, 1e3] takes 64 steps
+    res, n = _check_search(lambda n: 0.3 - n, 1e-9, N_MAX_CEILING)
+    assert res == 0.3
+    assert n <= 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket=search_brackets, where=st.floats(0.0, 1.0))
+def test_search_is_capped_where_the_secant_creeps(bracket, where):
+    # a step from 1 to -1e-10: every secant lands 1e-10 of the bracket
+    # from hi, and Illinois halving needs about 33 steps to undo that,
+    # again after each move of lo, so only the cap bounds the search. The
+    # capped steps barely narrow the bracket, and bisecting what is left
+    # can take one step more than bisecting the whole, as the midpoints
+    # fall differently on the float grid.
+    lo, hi = bracket
+    c = min(lo + where * (hi - lo), math.nextafter(hi, lo))
+    res, _ = _check_search(lambda n: 1.0 if n <= c else -1e-10, lo, hi,
+                           slack=1)
+    assert res == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket=search_brackets, where=st.floats(0.0, 1.0),
+       edge=st.floats(0.0, 1.0))
+def test_search_takes_midpoints_where_the_upper_end_is_minus_inf(bracket,
+                                                                 where, edge):
+    # value is -inf above c + edge (hi - c): no secant through that end, so
+    # the search bisects until a finite negative value bounds it
+    lo, hi = bracket
+    c = min(lo + where * (hi - lo), math.nextafter(hi, lo))
+    d = c + edge * (hi - c)
+    res, _ = _check_search(lambda n: -math.inf if n > d else c - n, lo, hi)
+    assert res == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket=search_brackets, where=st.floats(0.01, 0.99),
+       band=st.integers(1, 400), seed=st.integers(0, 2 ** 32),
+       zeros=st.booleans())
+def test_search_meets_its_contract_where_the_sign_is_noisy(bracket, where,
+                                                           band, seed, zeros):
+    # within `band` ulps of c the sign is a coin flip per float (or 0,
+    # which counts as holding), so value >= 0 is not monotone there; the
+    # result must still hold where the next float up fails
+    lo, hi = bracket
+    c = lo + where * (hi - lo)
+    width = band * math.ulp(c)
+
+    def value(n):
+        if abs(n - c) < width:
+            u = _noise(n, seed)
+            return 0.0 if zeros and u < 0.2 else (u - 0.5) * width
+        return c - n
+
+    _check_search(value, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
+       f_target=st.floats(min_value=0.5, max_value=1.0 - 1e-9,
+                          exclude_min=True))
+def test_coherent_double_budget_holds_where_the_next_float_fails(x, eta, ring,
+                                                                 f_target):
+    params = _params(x, eta, ring)
+    res = optimize_coherent_double(params, f_target)
+    if res.status != STATUS_OK or res.n_max_opt == N_MAX_CEILING:
+        return
+    nm = res.n_max_opt
+    assert coherent_double(params, nm).fidelity >= f_target
+    above = coherent_double(params, math.nextafter(nm, math.inf)).fidelity
+    assert above is None or above < f_target
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
+       f_target=st.floats(min_value=0.5, max_value=1.0 - 1e-9,
+                          exclude_min=True))
+def test_coherent_single_peak_rises_where_the_next_float_does_not(x, eta,
+                                                                  ring,
+                                                                  f_target):
+    # a budget off the grid is a searched peak: P* rises there (P* > 0 and
+    # slope >= 0) and stops rising one float up
+    params = _params(x, eta, ring)
+    res = optimize_coherent_single(params, f_target)
+    if res.status != STATUS_OK or res.n_max_opt in _COARSE_GRID:
+        return
+    r1, r2, lam = protocol._rates(params)
+
+    def rises(nm):
+        _, ps, slope = protocol._coherent_single_floor(
+            eta * r1, eta * r2, lam, f_target, nm)
+        return ps > 0.0 and slope >= 0.0
+
+    assert rises(res.n_max_opt)
+    assert not rises(math.nextafter(res.n_max_opt, math.inf))
 
 
 def test_dispatcher_accepts_scheme_values():
