@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands: response | spectrum | protocol | optimize | verify. Each one
-reads its settings through `_settings`, from a JSON config file keyed by the
-flags' own names (x_grid, n_values, n_atoms, omega_grid and f name the
-flags --x, --n, --omega and --f-spurious) with every given flag winning,
-validates them before computing anything, and writes its rows through
-`_emit` as CSV or JSON with 12-significant-digit floats. Identical config
-and seed give byte-identical output.
+Subcommands: response | spectrum | protocol | optimize | verify. Every
+option stores its value under its config key, so each command hands its
+flags unchanged to `_settings`, which reads a JSON config file with the same
+keys and lets every given flag win. A key is the flag's own name, except
+that a repeatable --x stores x_grid, --n stores n_values or n_atoms, --omega
+stores omega_grid and --f-spurious stores f. Each command validates its
+settings before computing anything and writes its rows through `_emit` as
+CSV or JSON with 12-significant-digit floats. Identical config and seed give
+byte-identical output.
 
 Exit codes: 0 success, 1 verification/optimization failure, 2 usage error.
 """
@@ -28,8 +30,7 @@ from .core import (
     scattering_loss,
     transmission_probability,
 )
-from .optimize import (SCHEMES, Scheme, SweepSpec, _linspace, default_x_grid,
-                       sweep)
+from .optimize import Scheme, SweepSpec, _linspace, default_x_grid, sweep
 from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
 _PARAM_KEYS = frozenset({"x", "g", "kappa_a", "kappa_b", "gamma", "delta",
@@ -76,28 +77,21 @@ def _emit(rows: list[dict], cfg: dict) -> None:
         lines = [",".join(rows[0])]
         lines += [",".join(map(_fmt_cell, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
-    with _output(cfg) as sink:
-        _write(text, sink)
+    with _output(cfg) as write:
+        write(text)
 
 
+@contextlib.contextmanager
 def _output(cfg: dict):
-    """The `out` file opened for writing, or a null context for stdout; an
-    unwritable path is a usage error."""
+    """A function that writes text to the `out` file, opened on entry, or to
+    stdout when there is none. Opening, writing or closing the file (whose
+    close flushes it) raises OSError only as a usage error."""
     if not cfg.get("out"):
-        return contextlib.nullcontext()
+        yield lambda text: click.echo(text, nl=False)
+        return
     try:
-        return open(cfg["out"], "w")
-    except OSError as exc:
-        raise click.UsageError(f"cannot write output: {exc}")
-
-
-def _write(text: str, sink) -> None:
-    # sink: what `_output` entered, None for stdout
-    if sink is None:
-        return click.echo(text, nl=False)
-    try:
-        sink.write(text)
-        sink.flush()  # so that a failing flush is a usage error too
+        with open(cfg["out"], "w") as sink:
+            yield sink.write
     except OSError as exc:
         raise click.UsageError(f"cannot write output: {exc}")
 
@@ -154,8 +148,7 @@ def _build_params(cfg: dict) -> CavityParams:
     """Cavity parameters from the reduced cooperativity, raw rates, or both
     (both must agree)."""
     have_raw = _RAW_KEYS & set(cfg)
-    extras = {k: cfg[k] for k in ("delta", "eta", "f", "g_tilde", "kappa_tilde")
-              if k in cfg}
+    extras = {k: cfg[k] for k in _PARAM_KEYS - _RAW_KEYS - {"x"} if k in cfg}
     x = cfg.get("x")
     if have_raw:
         missing = _RAW_KEYS - set(cfg)
@@ -183,8 +176,7 @@ def _build_params(cfg: dict) -> CavityParams:
         raise click.UsageError(str(exc))
 
 
-_format_option = click.option("--format", "fmt",
-                              type=click.Choice(["csv", "json"]),
+_format_option = click.option("--format", type=click.Choice(["csv", "json"]),
                               default=None, help="Output format.")
 _out_option = click.option("--out", type=click.Path(dir_okay=False),
                            default=None, help="Write to this file.")
@@ -200,16 +192,15 @@ def main() -> None:
 
 @main.command("response")
 @_config_option
-@click.option("--x", "x_values", type=float, multiple=True,
+@click.option("--x", "x_grid", type=float, multiple=True,
               help="Cooperativity grid point (repeatable).")
 @click.option("--n", "n_values", type=int, multiple=True,
               help="Atom count (repeatable).")
 @_format_option
 @_out_option
-def cmd_response(config, x_values, n_values, fmt, out) -> None:
+def cmd_response(config, **flags) -> None:
     """Resonant reflection/transmission/loss table over (x, N)."""
-    cfg = _settings(config, x_grid=x_values, n_values=n_values, format=fmt,
-                    out=out)
+    cfg = _settings(config, **flags)
     try:  # the library rejects negative or too large x and bad atom counts
         rows = [_response_row(x, n)
                 for x in cfg.get("x_grid") or default_x_grid()
@@ -230,20 +221,16 @@ def _response_row(x: float, n: int) -> dict:
 @_config_option
 @click.option("--x", type=float, default=None, help="Cooperativity.")
 @click.option("--n", "n_atoms", type=int, default=None, help="Atom count.")
-@click.option("--omega", "omega_values", type=float, multiple=True,
+@click.option("--omega", "omega_grid", type=float, multiple=True,
               help="Probe frequency (repeatable; overrides the range).")
 @click.option("--omega-start", type=float, default=None)
 @click.option("--omega-stop", type=float, default=None)
 @click.option("--omega-points", type=int, default=None)
 @_format_option
 @_out_option
-def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
-                 omega_points, fmt, out) -> None:
+def cmd_spectrum(config, **flags) -> None:
     """Complex reflection/transmission spectrum at fixed (params, N)."""
-    cfg = _settings(config, _PARAM_KEYS, x=x, n_atoms=n_atoms,
-                    omega_grid=omega_values, omega_start=omega_start,
-                    omega_stop=omega_stop, omega_points=omega_points,
-                    format=fmt, out=out)
+    cfg = _settings(config, _PARAM_KEYS, **flags)
     params = _build_params(cfg)
     omegas = cfg.get("omega_grid")
     if omegas is None:
@@ -268,7 +255,7 @@ def cmd_spectrum(config, x, n_atoms, omega_values, omega_start, omega_stop,
 
 
 _SCHEMES = [s.value for s in Scheme]
-_SCHEME_ARGS = frozenset(name for e in SCHEMES.values() for name in e.needs)
+_SCHEME_ARGS = frozenset(name for s in Scheme for name in s.needs)
 
 
 @main.command("protocol")
@@ -278,39 +265,37 @@ _SCHEME_ARGS = frozenset(name for e in SCHEMES.values() for name in e.needs)
 @click.option("--eta", type=float, default=None, help="Detector efficiency.")
 @click.option("--phi", type=float, default=None, help="Preparation angle.")
 @click.option("--n-max", type=float, default=None, help="Photon budget.")
-@click.option("--f-spurious", type=float, default=None,
+@click.option("--f-spurious", "f", type=float, default=None,
               help="Spurious-reflection fraction.")
 @_format_option
 @_out_option
-def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
-                 out) -> None:
+def cmd_protocol(config, **flags) -> None:
     """Success probability and fidelity of one heralding scheme."""
-    cfg = _settings(config, _PARAM_KEYS, scheme=scheme, x=x, eta=eta, phi=phi,
-                    n_max=n_max, f=f_spurious, format=fmt, out=out)
+    cfg = _settings(config, _PARAM_KEYS, **flags)
     if "scheme" not in cfg:
         raise click.UsageError("--scheme is required")
     params = _build_params(cfg)
 
     uncorrected = None
     try:
-        scheme_v = Scheme(cfg["scheme"])  # a config file may name any scheme
-        entry = SCHEMES[scheme_v]
-        if any(name not in cfg for name in entry.needs):
-            flags = " and ".join("--" + name.replace("_", "-")
-                                 for name in entry.needs)
-            raise click.UsageError(f"{scheme_v.value} needs {flags}")
-        extra = _SCHEME_ARGS.intersection(cfg).difference(entry.needs)
+        scheme = Scheme(cfg["scheme"])  # a config file may name any scheme
+        if any(name not in cfg for name in scheme.needs):
+            needed = " and ".join("--" + name.replace("_", "-")
+                                  for name in scheme.needs)
+            raise click.UsageError(f"{scheme.value} needs {needed}")
+        extra = _SCHEME_ARGS.intersection(cfg).difference(scheme.needs)
         if extra:
             raise click.UsageError(
-                f"{scheme_v.value} takes no {' or '.join(sorted(extra))}")
-        outcome = entry.evaluate(params, *(cfg[name] for name in entry.needs))
-        if scheme_v is Scheme.COHERENT_DOUBLE:
+                f"{scheme.value} takes no {' or '.join(sorted(extra))}")
+        outcome = scheme.evaluate(params,
+                                  *(cfg[name] for name in scheme.needs))
+        if scheme is Scheme.COHERENT_DOUBLE:
             uncorrected = coherent_double_fidelity_uncorrected(
                 params, cfg["n_max"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    row = {"scheme": scheme_v.value,
+    row = {"scheme": scheme.value,
            "p_success": outcome.p_success,
            "fidelity": outcome.fidelity,
            "status": outcome.status,
@@ -323,18 +308,16 @@ def cmd_protocol(config, scheme, x, eta, phi, n_max, f_spurious, fmt,
 @main.command("optimize")
 @_config_option
 @click.option("--scheme", type=click.Choice(_SCHEMES), default=None)
-@click.option("--x", "x_values", type=float, multiple=True,
+@click.option("--x", "x_grid", type=float, multiple=True,
               help="Cooperativity grid point (repeatable).")
 @click.option("--eta", type=float, default=None, help="Detector efficiency.")
 @click.option("--f-target", type=float, default=None, help="Fidelity floor.")
 @_format_option
 @_out_option
 @click.pass_context
-def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
-                 out) -> None:
+def cmd_optimize(ctx, config, **flags) -> None:
     """Maximize success probability at a fidelity floor over an x grid."""
-    cfg = _settings(config, scheme=scheme, x_grid=x_values, eta=eta,
-                    f_target=f_target, format=fmt, out=out)
+    cfg = _settings(config, **flags)
     if "scheme" not in cfg:
         raise click.UsageError("--scheme is required")
     if "f_target" not in cfg:
@@ -365,10 +348,10 @@ def cmd_optimize(ctx, config, scheme, x_values, eta, f_target, fmt,
               help="Monte Carlo sample count.")
 @_out_option
 @click.pass_context
-def cmd_verify(ctx, config, seed, samples, out) -> None:
+def cmd_verify(ctx, config, **flags) -> None:
     """Run every oracle-vs-closed-form comparison; JSON report, exit 0 iff
     all checks pass."""
-    cfg = _settings(config, seed=seed, samples=samples, out=out)
+    cfg = _settings(config, **flags)
     # numpy loads only here, so a thread count set now still reaches BLAS;
     # the oracle's small dense products stall on two threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -378,9 +361,9 @@ def cmd_verify(ctx, config, seed, samples, out) -> None:
         raise click.UsageError(f"need at least {oracle.MIN_SAMPLES} samples")
     if given.get("seed", 0) < 0:
         raise click.UsageError("the seed must be nonnegative")
-    with _output(cfg) as sink:  # opened first, so a bad path fails fast
+    with _output(cfg) as write:  # opened first, so a bad path fails fast
         report = oracle.run_verification_suite(**given)
-        _write(json.dumps(report, indent=2) + "\n", sink)
+        write(json.dumps(report, indent=2) + "\n")
     if not report["passed"]:
         ctx.exit(1)
 

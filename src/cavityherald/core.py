@@ -173,12 +173,10 @@ class CavityParams:
         """Build from dimensionful rates, normalizing everything by gamma."""
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        scaled = {k: v / gamma for k, v in kwargs.items()
-                  if k in ("delta", "g_tilde", "kappa_tilde")}
-        rest = {k: v for k, v in kwargs.items()
-                if k not in ("delta", "g_tilde", "kappa_tilde")}
+        kwargs = {k: v / gamma if k in ("delta", "g_tilde", "kappa_tilde")
+                  else v for k, v in kwargs.items()}  # eta and f have no unit
         return cls(g=g / gamma, kappa_a=kappa_a / gamma, kappa_b=kappa_b / gamma,
-                   **scaled, **rest)
+                   **kwargs)
 
 
 def _frozen(cls, values: dict):

@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -36,16 +35,6 @@ _FALSI_STEPS = 20  # regula falsi steps of a budget search before it bisects
 _ZERO_STEP = 1 / 256  # share of the bracket a search steps past a zero
 
 STATUS_INFEASIBLE = "infeasible"
-
-
-class Scheme(str, enum.Enum):
-    FOCK_SINGLE = "fock-single"
-    FOCK_DOUBLE = "fock-double"
-    COHERENT_SINGLE = "coherent-single"
-    COHERENT_DOUBLE = "coherent-double"
-
-
-_FOCK = (Scheme.FOCK_SINGLE, Scheme.FOCK_DOUBLE)  # the schemes with no budget
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,8 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
         fidelity_achieved=None if out is None else out.fidelity,
         status=STATUS_INFEASIBLE if out is None else STATUS_OK,
         n_evals=n_evals,
-        budget_capped=(None if scheme in _FOCK else n_max == N_MAX_CEILING))
+        budget_capped=(n_max == N_MAX_CEILING if "n_max" in scheme.needs
+                       else None))
 
 
 def _search(value: Callable[[float], float], lo: float, hi: float,
@@ -302,26 +292,33 @@ def optimize_coherent_double(params: CavityParams,
                    protocol.coherent_double(params, nm), math.pi / 4, nm)
 
 
-# evaluate(params, *(values of the arguments named in needs)) is the closed
-# form; optimizer(params, f_target) maximizes its P_s at a fidelity floor
-SchemeEntry = namedtuple("SchemeEntry", "evaluate needs optimizer")
+class Scheme(str, enum.Enum):
+    """The scheme table. Each member's value is the scheme's name, and it
+    carries `evaluate(params, *args)`, the scheme's closed form; `needs`, the
+    names of those args after params; and `optimizer(params, f_target)`,
+    which maximizes the closed form's P_s at a fidelity floor."""
 
-SCHEMES = {
-    Scheme.FOCK_SINGLE: SchemeEntry(
-        protocol.fock_single, ("phi",), optimize_fock_single),
-    Scheme.FOCK_DOUBLE: SchemeEntry(
-        protocol.fock_double, (), optimize_fock_double),
-    Scheme.COHERENT_SINGLE: SchemeEntry(
-        protocol.coherent_single, ("phi", "n_max"), optimize_coherent_single),
-    Scheme.COHERENT_DOUBLE: SchemeEntry(
-        protocol.coherent_double, ("n_max",), optimize_coherent_double),
-}
+    def __new__(cls, name, evaluate, needs, optimizer):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.evaluate, member.needs = evaluate, needs
+        member.optimizer = optimizer
+        return member
+
+    FOCK_SINGLE = ("fock-single", protocol.fock_single, ("phi",),
+                   optimize_fock_single)
+    FOCK_DOUBLE = ("fock-double", protocol.fock_double, (),
+                   optimize_fock_double)
+    COHERENT_SINGLE = ("coherent-single", protocol.coherent_single,
+                       ("phi", "n_max"), optimize_coherent_single)
+    COHERENT_DOUBLE = ("coherent-double", protocol.coherent_double,
+                       ("n_max",), optimize_coherent_double)
 
 
 def optimize(params: CavityParams, scheme: Scheme,
              f_target: float) -> OptimizationResult:
     """Dispatch to the per-scheme optimizer."""
-    return SCHEMES[Scheme(scheme)].optimizer(params, f_target)
+    return Scheme(scheme).optimizer(params, f_target)
 
 
 def sweep(spec: SweepSpec) -> list[OptimizationResult]:

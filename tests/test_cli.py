@@ -445,6 +445,23 @@ def test_unwritable_output_is_a_usage_error(runner, tmp_path, route):
     assert "cannot write output" in res.output
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a file whose writes all fail")
+@pytest.mark.parametrize("args", [
+    ["response", "--x", "1", "--n", "1"],
+    ["verify", "--samples", "10000"],
+], ids=["response", "verify"])
+def test_failing_write_to_out_is_a_usage_error(args):
+    # the file opens, and its buffered text fails to flush on close; that
+    # close used to raise an OSError traceback over the usage error (exit 1)
+    proc = _run_python("from cavityherald.cli import main; main()",
+                       *args, "--out", "/dev/full")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "cannot write output" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_raw_rates_the_params_reject_are_a_usage_error(runner,
                                                               tmp_path):
     cfg = tmp_path / "cfg.json"
