@@ -5,12 +5,14 @@ option stores its value under its config key, so each command hands its
 flags unchanged to `_settings`, which reads a JSON config file with the same
 keys and lets every given flag win. A key is the flag's own name, except
 that a repeatable --x stores x_grid, --n stores n_values or n_atoms, --omega
-stores omega_grid and --f-spurious stores f. Each command validates its
-settings before computing anything and writes its rows through `_emit` as
-CSV or JSON with 12-significant-digit floats. Identical config and seed give
-byte-identical output.
+stores omega_grid and --f-spurious stores f. A config value takes its
+flag's type. Each command validates its settings before computing anything
+and writes its rows through `_emit` as CSV or JSON with 12-significant-digit
+floats. Identical config and seed give byte-identical output.
 
 Exit codes: 0 success, 1 verification/optimization failure, 2 usage error.
+Every command is a `_Command`, so a ValueError, the library's rejection of
+an input, is a usage error, and so is an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 
 import click
 
@@ -36,10 +39,9 @@ from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 _PARAM_KEYS = frozenset({"x", "g", "kappa_a", "kappa_b", "gamma", "delta",
                          "eta", "f", "g_tilde", "kappa_tilde"})
 _RAW_KEYS = {"g", "kappa_a", "kappa_b", "gamma"}
-# the JSON type each config key must have; every other key is one number
-_TEXT_KEYS = {"scheme", "format", "out"}
-_GRID_KEYS = ("x_grid", "n_values", "omega_grid")  # checked in this order
-_COUNT_KEYS = {"omega_points", "seed", "samples"}
+# the JSON type of a config value whose flag has this click type; a path
+# takes a string
+_JSON_TYPES = {click.INT: int, click.FLOAT: (int, float)}
 
 
 def _fmt_float(value: float) -> str:
@@ -84,15 +86,19 @@ def _emit(rows: list[dict], cfg: dict) -> None:
 @contextlib.contextmanager
 def _output(cfg: dict):
     """A function that writes text to the `out` file, opened on entry, or to
-    stdout when there is none. Opening, writing or closing the file (whose
-    close flushes it) raises OSError only as a usage error."""
-    if not cfg.get("out"):
-        yield lambda text: click.echo(text, nl=False)
-        return
+    stdout when there is none; the sink is flushed on exit. Any OSError, from
+    a full disk to a closed pipe, is a usage error."""
+    out = cfg.get("out")
     try:
-        with open(cfg["out"], "w") as sink:
+        with open(out, "w") if out else contextlib.nullcontext(
+                sys.stdout) as sink:
             yield sink.write
+            sink.flush()
     except OSError as exc:
+        if not out:  # so that the interpreter's flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise click.UsageError(f"cannot write output: {exc}")
 
 
@@ -100,8 +106,8 @@ def _settings(config: str | None, keys: frozenset[str] = frozenset(),
               **flags) -> dict:
     """A command's settings: the JSON config file, which may hold `keys` and
     the flags' own names, overridden by every flag given. Repeatable flags
-    become lists. A config value of the wrong type, or an empty grid, is a
-    usage error."""
+    become lists. A config value must have the type of the command's option
+    of that name (`_check_type`), and a repeatable one must not be empty."""
     cfg = {}
     if config is not None:
         try:
@@ -114,34 +120,39 @@ def _settings(config: str | None, keys: frozenset[str] = frozenset(),
     if unknown:
         raise click.UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
+    options = {p.name: p for p in click.get_current_context().command.params}
     for key, value in cfg.items():
-        if key in _TEXT_KEYS:
-            ok = isinstance(value, str)
-        elif key in _GRID_KEYS:
-            ok = isinstance(value, list) and all(map(_is_number, value))
-        elif key in _COUNT_KEYS:
-            ok = _is_number(value) and isinstance(value, int)
-        else:
-            ok = _is_number(value)
-        if not ok:
-            raise click.UsageError(
-                f"config value of {key} has the wrong type: {value!r}")
-    if cfg.get("format", "csv") not in ("csv", "json"):
-        raise click.UsageError(
-            f"config format must be csv or json, got {cfg['format']!r}")
+        _check_type(key, value, options.get(key))
     for key, value in flags.items():
         if isinstance(value, tuple):  # a repeatable flag
             value = list(value) or None
         if value is not None:
             cfg[key] = value
-    for key in _GRID_KEYS:
-        if cfg.get(key) == []:
-            raise click.UsageError(f"{key} is empty")
+    for option in options.values():
+        if option.multiple and cfg.get(option.name) == []:
+            raise click.UsageError(f"{option.name} is empty")
     return cfg
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _check_type(key: str, value, option: click.Parameter | None) -> None:
+    # a config value takes its flag's type: a list for a repeatable flag, one
+    # of the choices of a choice flag, else the `_JSON_TYPES` entry of the
+    # flag's click type; a key without a flag takes a number, and a bool is
+    # never a number
+    kind = option.type if option else click.FLOAT
+    if isinstance(kind, click.Choice):
+        if value not in kind.choices:
+            *rest, last = kind.choices
+            raise click.UsageError(f"config {key} must be {', '.join(rest)} "
+                                   f"or {last}, got {value!r}")
+        return
+    want = _JSON_TYPES.get(kind, str)
+    items = value if isinstance(value, list) else [value]
+    if (isinstance(value, list) != (option is not None and option.multiple)
+            or not all(isinstance(v, want) and not isinstance(v, bool)
+                       for v in items)):
+        raise click.UsageError(
+            f"config value of {key} has the wrong type: {value!r}")
 
 
 def _build_params(cfg: dict) -> CavityParams:
@@ -156,12 +167,8 @@ def _build_params(cfg: dict) -> CavityParams:
             raise click.UsageError(
                 f"raw rates need all of g, kappa_a, kappa_b, gamma "
                 f"(missing: {', '.join(sorted(missing))})")
-        try:
-            params = CavityParams.from_raw_rates(
-                cfg["g"], cfg["kappa_a"], cfg["kappa_b"], cfg["gamma"],
-                **extras)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        params = CavityParams.from_raw_rates(
+            cfg["g"], cfg["kappa_a"], cfg["kappa_b"], cfg["gamma"], **extras)
         if x is not None and abs(params.cooperativity - x) > 1e-9:
             raise click.UsageError(
                 f"inconsistent parameters: x={x} but raw rates give "
@@ -170,10 +177,7 @@ def _build_params(cfg: dict) -> CavityParams:
     if x is None:
         raise click.UsageError(
             "cooperativity required: give --x or raw rates in the config")
-    try:
-        return CavityParams.from_cooperativity(x, **extras)
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc))
+    return CavityParams.from_cooperativity(x, **extras)
 
 
 _format_option = click.option("--format", type=click.Choice(["csv", "json"]),
@@ -185,7 +189,22 @@ _config_option = click.option("--config", type=click.Path(exists=True,
                               default=None, help="JSON config file.")
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose ValueErrors, the library's rejections of an input,
+    are usage errors."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Heralded two-atom entanglement via cavity photodetection."""
 
@@ -201,12 +220,9 @@ def main() -> None:
 def cmd_response(config, **flags) -> None:
     """Resonant reflection/transmission/loss table over (x, N)."""
     cfg = _settings(config, **flags)
-    try:  # the library rejects negative or too large x and bad atom counts
-        rows = [_response_row(x, n)
-                for x in cfg.get("x_grid") or default_x_grid()
-                for n in cfg.get("n_values", [0, 1, 2])]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    rows = [_response_row(x, n)
+            for x in cfg.get("x_grid") or default_x_grid()
+            for n in cfg.get("n_values", [0, 1, 2])]
     _emit(rows, cfg)
 
 
@@ -242,15 +258,12 @@ def cmd_spectrum(config, **flags) -> None:
         omegas = _linspace(start, stop, points)
 
     rows = []
-    try:  # the library rejects a bad atom count and a non-finite omega
-        for omega in omegas:
-            point = scattering_amplitudes(params, omega, cfg.get("n_atoms", 1))
-            rows.append({"omega": float(omega),
-                         "re_r": point.r.real, "im_r": point.r.imag,
-                         "re_t": point.t.real, "im_t": point.t.imag,
-                         "R": point.R, "T": point.T, "lambda": point.loss})
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    for omega in omegas:
+        point = scattering_amplitudes(params, omega, cfg.get("n_atoms", 1))
+        rows.append({"omega": float(omega),
+                     "re_r": point.r.real, "im_r": point.r.imag,
+                     "re_t": point.t.real, "im_t": point.t.imag,
+                     "R": point.R, "T": point.T, "lambda": point.loss})
     _emit(rows, cfg)
 
 
@@ -276,24 +289,20 @@ def cmd_protocol(config, **flags) -> None:
         raise click.UsageError("--scheme is required")
     params = _build_params(cfg)
 
+    scheme = Scheme(cfg["scheme"])
+    if any(name not in cfg for name in scheme.needs):
+        needed = " and ".join("--" + name.replace("_", "-")
+                              for name in scheme.needs)
+        raise click.UsageError(f"{scheme.value} needs {needed}")
+    extra = _SCHEME_ARGS.intersection(cfg).difference(scheme.needs)
+    if extra:
+        raise click.UsageError(
+            f"{scheme.value} takes no {' or '.join(sorted(extra))}")
+    outcome = scheme.evaluate(params, *(cfg[name] for name in scheme.needs))
     uncorrected = None
-    try:
-        scheme = Scheme(cfg["scheme"])  # a config file may name any scheme
-        if any(name not in cfg for name in scheme.needs):
-            needed = " and ".join("--" + name.replace("_", "-")
-                                  for name in scheme.needs)
-            raise click.UsageError(f"{scheme.value} needs {needed}")
-        extra = _SCHEME_ARGS.intersection(cfg).difference(scheme.needs)
-        if extra:
-            raise click.UsageError(
-                f"{scheme.value} takes no {' or '.join(sorted(extra))}")
-        outcome = scheme.evaluate(params,
-                                  *(cfg[name] for name in scheme.needs))
-        if scheme is Scheme.COHERENT_DOUBLE:
-            uncorrected = coherent_double_fidelity_uncorrected(
-                params, cfg["n_max"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if scheme is Scheme.COHERENT_DOUBLE:
+        uncorrected = coherent_double_fidelity_uncorrected(params,
+                                                           cfg["n_max"])
 
     row = {"scheme": scheme.value,
            "p_success": outcome.p_success,
@@ -322,14 +331,10 @@ def cmd_optimize(ctx, config, **flags) -> None:
         raise click.UsageError("--scheme is required")
     if "f_target" not in cfg:
         raise click.UsageError("--f-target is required")
-    try:
-        spec = SweepSpec(x_grid=tuple(cfg.get("x_grid") or default_x_grid()),
-                         eta=cfg.get("eta", 1.0),
-                         f_target=cfg["f_target"],
-                         scheme=Scheme(cfg["scheme"]))
-        results = sweep(spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    results = sweep(SweepSpec(
+        x_grid=tuple(cfg.get("x_grid") or default_x_grid()),
+        eta=cfg.get("eta", 1.0), f_target=cfg["f_target"],
+        scheme=Scheme(cfg["scheme"])))
 
     rows = [{"x": r.x, "scheme": r.scheme.value, "eta": r.eta,
              "F_target": r.f_target, "phi_opt": r.phi_opt,

@@ -29,10 +29,14 @@ def _check_n(n_atoms: int) -> int:
 X_MAX = 1e50 ** 2
 
 
-def _check_xn(x: float, n_atoms: int) -> int:
+def _check_x(x: float) -> None:
     if not 0.0 <= x <= X_MAX:
         raise ValueError(
             f"cooperativity must lie in [0, X_MAX = {X_MAX:g}], got {x}")
+
+
+def _check_xn(x: float, n_atoms: int) -> int:
+    _check_x(x)
     n = _check_n(n_atoms)
     # the closed forms square 1 + 4 N x, which must stay finite; it is NaN
     # where 4 N alone overflows and x = 0

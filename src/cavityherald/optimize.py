@@ -26,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import protocol
-from .core import X_MAX, CavityParams, with_cooperativity
+from .core import CavityParams, _check_x, with_cooperativity
 from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
@@ -75,8 +75,8 @@ class SweepSpec:
             raise ValueError("x_grid must be nonempty")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ValueError("x_grid must be strictly increasing")
-        if not all(0.0 <= x <= X_MAX for x in self.x_grid):
-            raise ValueError(f"x_grid values must lie in [0, X_MAX = {X_MAX:g}]")
+        for x in self.x_grid:
+            _check_x(x)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -279,8 +279,8 @@ def optimize_coherent_double(params: CavityParams,
         # F - f_target, whose sign is exact, or -inf where F is undefined
         nonlocal n_evals
         n_evals += 1
-        f = protocol._double_click_terms(a, lam, nm)[1]
-        return -math.inf if f is None else f - f_target
+        re_xi = protocol._double_click_terms(a, lam, nm)[1]
+        return -math.inf if re_xi is None else 0.5 + re_xi - f_target
 
     lo, hi = 1e-9, N_MAX_CEILING
     v_lo = margin(lo)

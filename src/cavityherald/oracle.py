@@ -311,8 +311,7 @@ def quadrature_single(params: CavityParams, phi: float,
     all nodes; an error estimate |GL64 - GL32| above 1e-9 max(1, integral)
     raises OracleDiagnosticError.
     """
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+    protocol._check_n_max(n_max)
     prep = protocol.initial_populations(phi)
     r1, r2, lam = protocol._rates(params)
     edges = [0.0]
@@ -356,8 +355,7 @@ def monte_carlo_double(params: CavityParams, n_max: float, samples: int,
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+    protocol._check_n_max(n_max)
 
     r1, r2, lam = protocol._rates(params)
     rates = params.eta * np.array([0.0, r1, r2])

@@ -15,6 +15,7 @@ and raise ValueError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import CavityParams, _frozen
@@ -74,6 +75,16 @@ def _populations(phi: float) -> tuple[float, float, float]:
     return c2 * c2, 2.0 * s2 * c2, s2 * s2
 
 
+def _check_n_max(n_max: float) -> None:
+    if not 0.0 < n_max < math.inf:
+        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+
+
+def _check_photons(n: float) -> None:
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
+
+
 def initial_populations(phi: float) -> Preparation:
     """Populations of the 0-, 1-, and 2-atom sectors after preparation.
 
@@ -114,13 +125,16 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     Preparation is fixed at phi = pi/4. Only the single-excitation sector can
     reflect in both rounds (the swap maps N to 2 - N and R0 = 0), so
     P_s = eta^2 R1^2 / 2 and the heralded state is pure: F = 1 for an ideal
-    mirror. A spurious-reflection fraction params.f > 0 degrades F per
+    mirror, and undefined where R1 = 0, since nothing reflects. A
+    spurious-reflection fraction params.f > 0 degrades F per
     `false_reflection_fidelity` while P_s keeps its ideal-model form.
     """
     r1, _, _ = _rates(params)
     ps = 0.5 * (params.eta * r1) ** 2
     if params.f > 0.0:
         fid = false_reflection_fidelity(params, params.f)
+    elif r1 == 0.0:
+        return _outcome(0.0, None, status=STATUS_UNDEFINED)
     else:
         fid = 1.0
     return _outcome(ps, fid, 1.0, fid - 0.5)
@@ -150,8 +164,7 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     fidelity ratio; for n -> infinity it tends to 1 because R1 < R2 makes the
     one-atom exponential the slower one.
     """
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"n must be nonnegative and finite, got {n}")
+    _check_photons(n)
     _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
     a = p1 * r1 * math.exp(-params.eta * r1 * n)
@@ -181,8 +194,7 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     dP/dn = eta p1 R1 e^{-eta R1 n} + eta p2 R2 e^{-eta R2 n}; integrates to
     p1 + p2 over [0, infinity) at eta = 1.
     """
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"n must be nonnegative and finite, got {n}")
+    _check_photons(n)
     _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
     return (params.eta * p1 * r1 * math.exp(-params.eta * r1 * n)
@@ -202,8 +214,7 @@ def coherent_single(params: CavityParams, phi: float,
     which equals the quadrature of F_c(n) dP/dn over the window exactly.
     Diagnostics report the click-averaged p1c and coherence term.
     """
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+    _check_n_max(n_max)
     _, p1, p2 = _populations(phi)
     r1, r2, lam = _rates(params)
     a, b = params.eta * r1, params.eta * r2
@@ -256,38 +267,50 @@ _ERLANG2_SERIES = tuple((-1) ** k * (k - 1) / math.factorial(k)
 
 
 def _erlang2_cdf(z: float) -> float:
-    """P(n1 + n2 <= z) for two unit-rate exponentials: 1 - (1 + z) e^{-z}.
+    """P(n1 + n2 <= z) for two unit-rate exponentials: 1 - (1 + z) e^{-z},
+    for z >= 0.
 
     The direct form cancels for small z (its relative error is about 5e-13
     at z = 1e-3, and it returns exactly 0 at z ~ 1e-13 in float64), so
-    arguments below 1/2 use the alternating series
-    sum_{k>=2} (-1)^k z^k (k-1) / k! = z^2/2 - z^3/3 + z^4/8 - ...,
-    summed by Horner's rule.
+    arguments below 1/2 take the series of `_erlang2_scaled` times z^2.
     """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    if z < 0.5:
+        return _erlang2_scaled(z) * z * z
+    return -math.expm1(-z) - z * math.exp(-z)
+
+
+def _erlang2_scaled(z: float) -> float:
+    """S(z) = E2(z) / z^2, the Erlang-2 CDF over z^2, for z >= 0. It tends
+    to 1/2 as z -> 0, where E2(z) underflows. Below z = 1/2 it is the
+    alternating series sum_{k>=2} (-1)^k z^(k-2) (k-1) / k!
+    = 1/2 - z/3 + z^2/8 - ..., summed by Horner's rule.
+    """
     if z < 0.5:
         total = 0.0
         for coef in _ERLANG2_SERIES:
             total = total * z + coef
-        return total * z * z
-    return -math.expm1(-z) - z * math.exp(-z)
+        return total
+    return _erlang2_cdf(z) / z / z
 
 
 def _double_click_terms(a: float, lam: float,
-                        n_max: float) -> tuple[float, float | None, float]:
-    # (P_s, F of `coherent_double` or None when P_s = 0, Erlang-2 coherence
-    # integral a^2 * E-term) at click rate a = eta R1, unvalidated
+                        n_max: float) -> tuple[float, float | None]:
+    # (P_s, Re xi = F - 1/2, or None when P_s = 0) of `coherent_double` at
+    # click rate a = eta R1, unvalidated: Re xi = coh / (4 P_s), with the
+    # Erlang-2 coherence integral coh = a^2 E2((a + lam) n) / (a + lam)^2
     ps = 0.5 * _erlang2_cdf(a * n_max)
-    # guard on a, not on a + lam: at tiny cooperativity (a + lam)^2
-    # underflows to 0 where a, about eta lam^2 / 4, is already 0
-    if a > 0:
-        coh = a * a * _erlang2_cdf((a + lam) * n_max) / (a + lam) ** 2
-    else:
-        coh = 0.0
     if ps == 0.0:
-        return 0.0, None, coh
-    return ps, 0.5 + coh / (4.0 * ps), coh
+        return 0.0, None
+    num = a * a * _erlang2_cdf((a + lam) * n_max)
+    if num < sys.float_info.min:
+        # a^2 E2 left the normal range (x below about 1e-40), so take
+        # Re xi as S((a + lam) n) / (2 S(a n)), which cannot underflow
+        re_xi = (_erlang2_scaled((a + lam) * n_max)
+                 / (2.0 * _erlang2_scaled(a * n_max)))
+    else:
+        re_xi = num / (a + lam) ** 2 / (4.0 * ps)
+    # S falls, so Re xi <= 1/2; as F -> 1 rounding can pass that by an ulp
+    return ps, min(re_xi, 0.5)
 
 
 def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
@@ -309,12 +332,12 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     See `coherent_double_fidelity_uncorrected` for the variant form that
     drops the conditioning factor of 2 and can exceed 1.
     """
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+    _check_n_max(n_max)
     r1, _, lam = _rates(params)
-    ps, fid, _ = _double_click_terms(params.eta * r1, lam, n_max)
-    if fid is None:
+    ps, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
+    if re_xi is None:
         return _outcome(0.0, None, status=STATUS_UNDEFINED)
+    fid = 0.5 + re_xi
     return _outcome(ps, fid, 1.0, fid - 0.5)
 
 
@@ -327,10 +350,7 @@ def coherent_double_fidelity_uncorrected(params: CavityParams,
     x = 1, eta = 1, n_max = 2), which the Monte Carlo oracle rules out.
     None when P_s = 0, like the fidelity of `coherent_double`.
     """
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"n_max must be positive and finite, got {n_max}")
+    _check_n_max(n_max)
     r1, _, lam = _rates(params)
-    ps, _, coh = _double_click_terms(params.eta * r1, lam, n_max)
-    if ps == 0.0:
-        return None
-    return 0.5 + coh / (2.0 * ps)
+    _, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
+    return None if re_xi is None else 0.5 + 2.0 * re_xi

@@ -21,6 +21,9 @@ def runner():
     return CliRunner()
 
 
+_MAIN = "from cavityherald.cli import main; main()"  # the CLI as a process
+
+
 def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
@@ -83,12 +86,13 @@ def test_negative_cooperativity_or_atom_count_is_a_usage_error(runner, args):
 @pytest.mark.parametrize("config", [
     '{"n_values": [Infinity], "x_grid": [1.0]}',
     '{"n_values": [NaN], "x_grid": [1.0]}',
-    '{"n_values": [1e300], "x_grid": [1e10]}',
+    '{"n_values": [1%s], "x_grid": [1e10]}' % ("0" * 300),
 ], ids=["infinite", "nan", "overflowing-4Nx"])
 def test_response_rejects_atom_counts_it_cannot_model(runner, tmp_path,
                                                       config):
     # an infinite count used to end in an OverflowError traceback (exit 1),
-    # and 4 N x = 4e310 in a table of R = nan (exit 0)
+    # and 4 N x = 4e310 in a table of R = nan (exit 0); the type rule now
+    # rejects the two floats, and the library the integer 10^300
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     res = invoke(runner, "response", "--config", str(cfg))
@@ -96,10 +100,12 @@ def test_response_rejects_atom_counts_it_cannot_model(runner, tmp_path,
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("n_atoms", ["Infinity", "1e300"])
+@pytest.mark.parametrize("n_atoms", ["Infinity", "1" + "0" * 300],
+                         ids=["Infinity", "1e300"])
 def test_spectrum_rejects_atom_counts_it_cannot_model(runner, tmp_path,
                                                       n_atoms):
-    # N g^2 = 1e310 made every amplitude nan
+    # N g^2 = 1e310 made every amplitude nan; 10^300 is a JSON integer, so
+    # the type rule lets it through to the library
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"x": 1e10, "n_atoms": {n_atoms}}}')
     res = invoke(runner, "spectrum", "--config", str(cfg), "--omega", "0")
@@ -181,6 +187,18 @@ def test_protocol_undefined_outcome_is_explicit(runner):
     row = json.loads(res.output)[0]
     assert row["status"] == "undefined"
     assert row["fidelity"] is None
+
+
+def test_fock_double_without_reflection_is_undefined(runner):
+    # R1 = 0 at x = 0; the row used to read "ok" with F = 1 at P_s = 0
+    res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "0")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == "fock-double,0.0,,undefined,,,"
+    res = invoke(runner, "optimize", "--scheme", "fock-double", "--x", "0",
+                 "--f-target", "0.9")
+    assert res.exit_code == 1  # no row is feasible
+    assert res.output.splitlines()[1] == \
+        "0.0,fock-double,1.0,0.9,,,0.0,,infeasible"
 
 
 def test_protocol_coherent_double_reports_uncorrected_comparison(runner):
@@ -306,8 +324,13 @@ def test_cooperativity_at_x_max_is_accepted(runner):
     (("protocol", "--scheme", "fock-double", "--x", "1"), '{"eta": true}'),
     (("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
      '{"x_grid": [1, "2"]}'),
+    # an int flag takes a JSON integer, as --n rejects 2.0
+    (("spectrum", "--x", "1"), '{"n_atoms": 2.0}'),
+    (("response", "--x", "1"), '{"n_values": [1.0]}'),
+    (("verify",), '{"seed": true}'),
 ], ids=["response-grid", "spectrum-count", "spectrum-atoms", "protocol-x",
-        "protocol-bool", "optimize-grid"])
+        "protocol-bool", "optimize-grid", "spectrum-integral-float",
+        "response-integral-float", "verify-bool"])
 def test_config_value_of_wrong_type_is_a_usage_error(runner, tmp_path, args,
                                                       config):
     cfg = tmp_path / "cfg.json"
@@ -367,6 +390,21 @@ def test_config_unknown_scheme_rejected(runner, tmp_path):
     res = invoke(runner, "protocol", "--config", str(cfg))
     assert res.exit_code == 2
     assert "bogus" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("protocol", "--x", "1"),
+    ("optimize", "--f-target", "0.9"),
+], ids=["protocol", "optimize"])
+def test_config_unknown_scheme_names_the_choices(runner, tmp_path, args):
+    # the rule of the --scheme flag, whose choices the message lists
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scheme": "bogus"}')
+    res = invoke(runner, *args, "--config", str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert ("config scheme must be fock-single, fock-double, coherent-single"
+            " or coherent-double, got 'bogus'") in res.output
 
 
 def test_config_unknown_key_rejected(runner, tmp_path):
@@ -454,12 +492,49 @@ def test_unwritable_output_is_a_usage_error(runner, tmp_path, route):
 def test_failing_write_to_out_is_a_usage_error(args):
     # the file opens, and its buffered text fails to flush on close; that
     # close used to raise an OSError traceback over the usage error (exit 1)
-    proc = _run_python("from cavityherald.cli import main; main()",
-                       *args, "--out", "/dev/full")
+    proc = _run_python(_MAIN, *args, "--out", "/dev/full")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "cannot write output" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _assert_cannot_write(returncode, stderr):
+    assert returncode == 2, stderr
+    assert "cannot write output" in stderr
+    assert "Traceback" not in stderr
+    # the interpreter's own flush of stdout at exit must not fail again
+    assert "Exception ignored" not in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a file whose writes all fail")
+@pytest.mark.parametrize("args", [
+    ["response", "--x", "1", "--n", "1"],
+    ["spectrum", "--x", "1"],
+    ["protocol", "--scheme", "fock-double", "--x", "1"],
+    ["optimize", "--scheme", "fock-double", "--x", "1", "--f-target", "0.9"],
+    ["verify", "--samples", "10000"],
+], ids=["response", "spectrum", "protocol", "optimize", "verify"])
+def test_failing_write_to_stdout_is_a_usage_error(args):
+    # it used to end in an OSError traceback and exit 1
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", _MAIN, *args],
+                              env=_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    _assert_cannot_write(proc.returncode, proc.stderr)
+
+
+def test_closed_pipe_is_a_usage_error():
+    # the reader is gone before the table is written, as in `| head`; that
+    # used to exit 1 with no message. 200,000 rows overflow any pipe buffer
+    with subprocess.Popen([sys.executable, "-c", _MAIN, "spectrum", "--x",
+                           "1", "--omega-points", "200000"], env=_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        _assert_cannot_write(proc.wait(timeout=60), stderr)
 
 
 def test_config_raw_rates_the_params_reject_are_a_usage_error(runner,
@@ -545,12 +620,16 @@ def test_optimize_writes_file_not_stdout(runner, tmp_path):
 
 # --------------------------------------------------------------------- verify
 
-def _run_python(code, *args):
+def _env():
+    # the environment of a fresh interpreter that imports this checkout
     src = str(pathlib.Path(cavityherald.__file__).parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], env=_env(),
                           capture_output=True, text=True, timeout=60)
 
 

@@ -124,6 +124,28 @@ def test_fock_double_branches():
                         rel_tol=1e-12)
 
 
+def test_fock_double_infeasible_without_reflection():
+    # R1 = 0 at x = 0, so nothing heralds; the row used to be "ok" with
+    # F = 1 at P_s = 0
+    res = optimize_fock_double(CavityParams.from_cooperativity(0.0), 0.9)
+    assert res.status == STATUS_INFEASIBLE
+    assert res.p_success == 0.0
+    assert res.fidelity_achieved is None
+
+
+def test_coherent_double_feasible_at_tiny_cooperativity():
+    # F ~ 1 at every budget; an underflowing coherence integral made the
+    # search read F = 0.5 and report the row infeasible. P_s at the cap is
+    # 6.3999999999999957057e-233 by a 50-digit mpmath evaluation
+    res = optimize_coherent_double(CavityParams.from_cooperativity(1e-60),
+                                   0.9)
+    assert res.status == STATUS_OK
+    assert res.n_max_opt == N_MAX_CEILING
+    assert math.isclose(res.p_success, 6.3999999999999957057e-233,
+                        rel_tol=1e-14)
+    assert abs(res.fidelity_achieved - 1.0) < 1e-12
+
+
 def test_infeasible_row_shape():
     res = optimize_fock_double(CavityParams.from_cooperativity(1.0, f=0.1),
                                0.99)
@@ -611,7 +633,6 @@ def test_sweep_keeps_requested_grid_and_order():
 
 @pytest.mark.parametrize("scheme, status", [
     (Scheme.FOCK_SINGLE, STATUS_INFEASIBLE),
-    (Scheme.FOCK_DOUBLE, STATUS_OK),
     (Scheme.COHERENT_SINGLE, STATUS_INFEASIBLE),
     (Scheme.COHERENT_DOUBLE, STATUS_INFEASIBLE),
 ])
@@ -621,6 +642,16 @@ def test_sweep_survives_vanishing_cooperativity(scheme, status):
     rows = sweep(SweepSpec(x_grid=(1e-300, 1e-200, 1e-160), eta=1.0,
                            f_target=0.9, scheme=scheme))
     assert [r.status for r in rows] == [status] * 3
+    assert all(r.p_success == 0.0 for r in rows)
+
+
+def test_fock_double_sweep_survives_vanishing_cooperativity():
+    # R1 = 0 at the first two points, so nothing heralds; at x = 1e-160 R1
+    # is subnormal, the heralded state is pure and P_s = R1^2 / 2 underflows
+    rows = sweep(SweepSpec(x_grid=(1e-300, 1e-200, 1e-160), eta=1.0,
+                           f_target=0.9, scheme=Scheme.FOCK_DOUBLE))
+    assert [r.status for r in rows] == [STATUS_INFEASIBLE, STATUS_INFEASIBLE,
+                                        STATUS_OK]
     assert all(r.p_success == 0.0 for r in rows)
 
 

@@ -10,7 +10,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityherald.core import (
@@ -24,6 +24,7 @@ from cavityherald.protocol import (
     STATUS_UNDEFINED,
     SchemeOutcome,
     _erlang2_cdf,
+    _erlang2_scaled,
     _rates,
     coherent_conditional_fidelity,
     coherent_conditional_population,
@@ -124,6 +125,20 @@ def test_fock_double_success_scales_with_eta_squared(eta, x):
     assert math.isclose(out.p_success, eta * eta * ideal.p_success,
                         rel_tol=1e-12)
     assert out.fidelity == 1.0
+
+
+def test_fock_double_undefined_without_reflection():
+    # R1 = 0 at x = 0: nothing reflects, so no click heralds anything
+    empty = with_cooperativity(P1, 0.0)
+    out = fock_double(empty)
+    assert out.status == STATUS_UNDEFINED
+    assert out.fidelity is None
+    assert out.p_success == 0.0
+    # a spurious reflection still clicks, on every sector alike
+    noisy = CavityParams.from_cooperativity(0.0, f=0.1)
+    assert fock_double(noisy).status == STATUS_OK
+    assert fock_double(noisy).fidelity == false_reflection_fidelity(noisy,
+                                                                    0.1)
 
 
 def test_false_reflection_reference_values():
@@ -267,6 +282,51 @@ def test_coherent_double_bounds(n_max, x):
     out = coherent_double(with_cooperativity(P1, x), n_max)
     assert 0.0 < out.p_success <= 0.5
     assert 0.5 < out.fidelity <= 1.0 + 1e-12
+
+
+# (x, eta, n_max, P_s, 1 - F) from 50-digit mpmath evaluations of the
+# closed form at the cooperativity the params hold; a^2 E2((a + lambda) n)
+# underflows at both points
+_TINY_X_DOUBLE = [
+    (1e-60, 1.0, 1.0, 6.3999999999999957057e-239, 2.6447814930909852e-60),
+    (3.5788666070859776e-51, 0.21405582565909886, 1e-9,
+     4.8107869456233320400e-220, 9.3345229167917126e-60),
+]
+
+
+@pytest.mark.parametrize("x, eta, n_max, ps, one_minus_f", _TINY_X_DOUBLE,
+                         ids=["x1e-60", "x3.6e-51"])
+def test_coherent_double_at_tiny_cooperativity(x, eta, n_max, ps,
+                                               one_minus_f):
+    # the coherence integral used to underflow to F = 0.5, or leave only a
+    # few digits, F = 1.000001264209168 at the second point
+    p = CavityParams.from_cooperativity(x, eta=eta)
+    out = coherent_double(p, n_max)
+    assert out.status == STATUS_OK
+    assert math.isclose(out.p_success, ps, rel_tol=1e-14)
+    assert abs(out.fidelity - (1.0 - one_minus_f)) < 1e-12
+    assert abs(coherent_double_fidelity_uncorrected(p, n_max)
+               - (1.5 - 2.0 * one_minus_f)) < 1e-12
+
+
+@settings(max_examples=500)
+@given(st.floats(min_value=-150.0, max_value=2.0),
+       st.floats(min_value=0.01, max_value=1.0),
+       st.floats(min_value=-9.0, max_value=3.0))
+def test_coherent_double_fidelity_stays_in_its_range(log_x, eta, log_n):
+    out = coherent_double(CavityParams.from_cooperativity(10.0 ** log_x,
+                                                          eta=eta),
+                          10.0 ** log_n)
+    if out.status == STATUS_OK:
+        assert 0.5 <= out.fidelity <= 1.0
+
+
+def test_erlang2_scaled_is_the_cdf_over_z_squared():
+    assert _erlang2_scaled(0.0) == 0.5
+    assert _erlang2_scaled(1e-200) == 0.5  # where E2 itself underflows
+    for z in (1e-3, 0.3, 0.5, 2.0, 40.0):
+        assert math.isclose(_erlang2_scaled(z) * z * z, _erlang2_cdf(z),
+                            rel_tol=1e-15)
 
 
 @given(st.floats(min_value=1e-3, max_value=50.0))
