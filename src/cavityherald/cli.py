@@ -18,6 +18,7 @@ an input, is a usage error, and so is an output that cannot be written.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -36,8 +37,8 @@ from .core import (
 from .optimize import Scheme, SweepSpec, _linspace, default_x_grid, sweep
 from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
-_PARAM_KEYS = frozenset({"x", "g", "kappa_a", "kappa_b", "gamma", "delta",
-                         "eta", "f", "g_tilde", "kappa_tilde"})
+_PARAM_KEYS = frozenset(
+    ["x", *(f.name for f in dataclasses.fields(CavityParams))])
 _RAW_KEYS = {"g", "kappa_a", "kappa_b", "gamma"}
 # the JSON type of a config value whose flag has this click type; a path
 # takes a string

@@ -26,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import protocol
-from .core import CavityParams, _check_x, with_cooperativity
+from .core import CavityParams, _check_x
 from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
@@ -169,11 +169,8 @@ def optimize_fock_single(params: CavityParams,
 
     F = 1 / (1 + tan^2(phi) R2 / (2 R1)) is strictly decreasing in phi while
     P_s grows with p1, so the optimum sits exactly on the constraint:
-    tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F.
-
-    The row reports `protocol.fock_single`'s P_s at that angle, and F in the
-    scale-free form above: the scheme's own F = p1 R1 / (p1 R1 + p2 R2)
-    rounds to 1 where p2 R2 underflows (x ~ 1e-154 at F = 1 - 1e-9).
+    tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F. The row
+    reports `protocol.fock_single` at that angle.
 
     A subnormal R1 (x below about 3.7e-155) keeps too few digits for that
     inversion; such a row is infeasible, like R1 = 0.
@@ -185,10 +182,8 @@ def optimize_fock_single(params: CavityParams,
         return _result(params, Scheme.FOCK_SINGLE, f_target, 1)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
-    fid = 1.0 / (1.0 + math.tan(phi) ** 2 * r2 / (2.0 * r1))
-    ps = protocol.fock_single(params, phi).p_success
     return _result(params, Scheme.FOCK_SINGLE, f_target, 2,
-                   protocol._outcome(ps, fid), phi)
+                   protocol.fock_single(params, phi), phi)
 
 
 def optimize_fock_double(params: CavityParams,
@@ -232,18 +227,16 @@ def optimize_coherent_single(params: CavityParams,
         return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
 
     def rise(nm: float) -> float:
-        # P*'s slope where P* > 0, else -inf: >= 0 exactly where P* rises
         nonlocal n_evals
         n_evals += 1
-        _, ps, slope = floor(nm)
-        return slope if ps > 0.0 else -math.inf
+        return floor(nm)[2]
 
-    # P* rises where it is positive with slope >= 0, so each grid cell where
-    # that stops holds a local maximum, and so does the ceiling if P* still
-    # rises there. P* can have two, a peak and then a plateau approached
-    # from below, so all of them compete, with the best grid point. The
-    # grid's values are the ends of each cell's search.
-    rises = [slope if ps > 0.0 else -math.inf for _, ps, slope in coarse]
+    # P* rises where its rise is >= 0, so each grid cell where that stops
+    # holds a local maximum, and so does the ceiling if P* still rises
+    # there. P* can have two, a peak and then a plateau approached from
+    # below, so all of them compete, with the best grid point. The grid's
+    # rises are the ends of each cell's search.
+    rises = [r for _, _, r in coarse]
     peaks = [_search(rise, grid[k], grid[k + 1], rises[k], rises[k + 1])
              for k in range(len(grid) - 1)
              if rises[k] >= 0.0 and not rises[k + 1] >= 0.0]
@@ -328,10 +321,9 @@ def sweep(spec: SweepSpec) -> list[OptimizationResult]:
     never aborts. Rows are independent, so the output does not depend on
     evaluation order.
     """
-    base = CavityParams.from_cooperativity(1.0, eta=spec.eta)
     rows = []
     for x in spec.x_grid:
-        params = with_cooperativity(base, x)
+        params = CavityParams.from_cooperativity(x, eta=spec.eta)
         row = optimize(params, spec.scheme, spec.f_target)
         rows.append(dataclasses.replace(row, x=float(x)))
     return rows

@@ -275,9 +275,7 @@ def coherence_decay_rate(system: LindbladSystem) -> float:
     the mode turns by at most 1e-3 rad per e-fold, and the next mode decays
     at least ten times faster.
     """
-    p = system.params
-    lam = scattering_loss(p.cooperativity, 1)
-    if system.drive_flux == 0 or lam == 0:
+    if system.drive_flux == 0 or system.params.g == 0:
         # no light, or atoms uncoupled from the cavity: xi is constant
         return 0.0
 
@@ -333,8 +331,7 @@ def quadrature_single(params: CavityParams, phi: float,
                 f"{name} quadrature error {abs(value - coarse):.3e}")
     ps, num, pop = map(float, sums[0])
     if ps <= 0.0:
-        return SchemeOutcome(p_success=0.0, fidelity=None,
-                             status=STATUS_UNDEFINED)
+        return protocol._UNDEFINED
     fid, p1c = num / ps, pop / ps
     return SchemeOutcome(p_success=ps, fidelity=fid, p1_conditional=p1c,
                          re_coherence=fid - p1c / 2.0)

@@ -9,7 +9,8 @@ Every formula evaluates the cooperativity through
 `effective_cooperativity_ring`, so ring-cavity parameter sets transparently
 apply the reduced coupling in both the reflection probabilities and the
 scattering loss. Asymmetric mirrors and a detuned cavity are not modelled
-and raise ValueError.
+and raise ValueError, and so does a spurious-reflection fraction f > 0
+everywhere but in `fock_double` and `false_reflection_fidelity`.
 """
 
 from __future__ import annotations
@@ -55,15 +56,17 @@ class SchemeOutcome:
     n_success: int | None = None
 
 
-def _outcome(p_success: float, fidelity: float | None,
-             p1_conditional: float | None = None,
-             re_coherence: float | None = None,
-             status: str = STATUS_OK) -> SchemeOutcome:
-    # a closed-form SchemeOutcome, without the Monte Carlo fields
+def _outcome(p_success: float, fidelity: float, p1_conditional: float,
+             re_coherence: float) -> SchemeOutcome:
+    # an "ok" closed-form SchemeOutcome, without the Monte Carlo fields
     return _frozen(SchemeOutcome, {
-        "p_success": p_success, "fidelity": fidelity, "status": status,
+        "p_success": p_success, "fidelity": fidelity, "status": STATUS_OK,
         "p1_conditional": p1_conditional, "re_coherence": re_coherence,
         "p_success_err": None, "fidelity_err": None, "n_success": None})
+
+
+# what every scheme returns where no click can occur
+_UNDEFINED = SchemeOutcome(0.0, None, STATUS_UNDEFINED)
 
 
 def _populations(phi: float) -> tuple[float, float, float]:
@@ -80,11 +83,6 @@ def _check_n_max(n_max: float) -> None:
         raise ValueError(f"n_max must be positive and finite, got {n_max}")
 
 
-def _check_photons(n: float) -> None:
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"n must be nonnegative and finite, got {n}")
-
-
 def initial_populations(phi: float) -> Preparation:
     """Populations of the 0-, 1-, and 2-atom sectors after preparation.
 
@@ -93,7 +91,7 @@ def initial_populations(phi: float) -> Preparation:
     return Preparation(phi, *_populations(phi))
 
 
-def _rates(params: CavityParams) -> tuple[float, float, float]:
+def _mirror_rates(params: CavityParams) -> tuple[float, float, float]:
     # (R1, R2, lambda1) at the effective cooperativity, worked out once per
     # params instance; the closed forms hold for symmetric mirrors on
     # resonance only, so anything else is rejected, on every call
@@ -103,19 +101,37 @@ def _rates(params: CavityParams) -> tuple[float, float, float]:
     return params._resonant_rates
 
 
+def _rates(params: CavityParams) -> tuple[float, float, float]:
+    # `_mirror_rates` for every closed form that leaves spurious reflection
+    # out, which rejects f > 0 instead of dropping it; only `fock_double`
+    # and `false_reflection_fidelity` model f and read `_mirror_rates`
+    rates = _mirror_rates(params)
+    if params.f > 0.0:
+        raise ValueError("only fock-double models a spurious-reflection "
+                         f"fraction f > 0, got f = {params.f}")
+    return rates
+
+
 def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     """Single-photon input, herald on one reflected-photon click.
 
     P_s = eta (p1 R1 + p2 R2). Conditioned on the click there has been no
     spontaneous emission, so Re xi = p1c / 2 and
-    F = p1 R1 / (p1 R1 + p2 R2), independent of eta.
+
+        F = p1 R1 / (p1 R1 + p2 R2) = 1 / (1 + tan^2(phi) R2 / (2 R1)),
+
+    independent of eta; undefined where no click can occur (eta = 0 or
+    p1 R1 + p2 R2 = 0). F is computed in the second, scale-free form: the
+    first rounds to 1 where p2 R2 underflows (x ~ 1e-154 at F = 1 - 1e-9).
+    F = 0 where R1 = 0 < R2 (x ~ 2e-163 to 4e-163).
     """
     _, p1, p2 = _populations(phi)
     r1, r2, _ = _rates(params)
     denom = p1 * r1 + p2 * r2
-    if denom == 0.0:
-        return _outcome(0.0, None, status=STATUS_UNDEFINED)
-    fid = p1 * r1 / denom
+    if params.eta == 0.0 or denom == 0.0:
+        return _UNDEFINED
+    fid = (1.0 / (1.0 + math.tan(phi) ** 2 * r2 / (2.0 * r1)) if r1 > 0.0
+           else 0.0)
     return _outcome(params.eta * denom, fid, fid, fid / 2.0)
 
 
@@ -125,19 +141,15 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     Preparation is fixed at phi = pi/4. Only the single-excitation sector can
     reflect in both rounds (the swap maps N to 2 - N and R0 = 0), so
     P_s = eta^2 R1^2 / 2 and the heralded state is pure: F = 1 for an ideal
-    mirror, and undefined where R1 = 0, since nothing reflects. A
-    spurious-reflection fraction params.f > 0 degrades F per
-    `false_reflection_fidelity` while P_s keeps its ideal-model form.
+    mirror. A spurious-reflection fraction params.f > 0 degrades F per
+    `false_reflection_fidelity` while P_s keeps its ideal-model form. F is
+    undefined where no click can occur: eta = 0, or R1 = 0 at f = 0.
     """
-    r1, _, _ = _rates(params)
-    ps = 0.5 * (params.eta * r1) ** 2
-    if params.f > 0.0:
-        fid = false_reflection_fidelity(params, params.f)
-    elif r1 == 0.0:
-        return _outcome(0.0, None, status=STATUS_UNDEFINED)
-    else:
-        fid = 1.0
-    return _outcome(ps, fid, 1.0, fid - 0.5)
+    r1, _, _ = _mirror_rates(params)
+    if params.eta == 0.0 or (r1 == 0.0 and params.f == 0.0):
+        return _UNDEFINED
+    fid = false_reflection_fidelity(params, params.f) if params.f else 1.0
+    return _outcome(0.5 * (params.eta * r1) ** 2, fid, 1.0, fid - 0.5)
 
 
 def false_reflection_fidelity(params: CavityParams, f: float) -> float:
@@ -149,9 +161,21 @@ def false_reflection_fidelity(params: CavityParams, f: float) -> float:
     """
     if not 0.0 <= f < 1.0:
         raise ValueError("f must lie in [0, 1)")
-    r1, r2, _ = _rates(params)
+    r1, r2, _ = _mirror_rates(params)
     good = (r1 * (1.0 - f) + f) ** 2
     return good / (good + f * (r2 * (1.0 - f) + f))
+
+
+def _click_sectors(params: CavityParams, phi: float,
+                   n: float) -> tuple[float, float]:
+    # (p1 R1 e^{-eta R1 n}, p2 R2 e^{-eta R2 n}): the one- and two-atom
+    # sectors' first-click densities at mean photon number n, over eta
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
+    _, p1, p2 = _populations(phi)
+    r1, r2, _ = _rates(params)
+    return (p1 * r1 * math.exp(-params.eta * r1 * n),
+            p2 * r2 * math.exp(-params.eta * r2 * n))
 
 
 def coherent_conditional_population(params: CavityParams, phi: float,
@@ -164,11 +188,7 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     fidelity ratio; for n -> infinity it tends to 1 because R1 < R2 makes the
     one-atom exponential the slower one.
     """
-    _check_photons(n)
-    _, p1, p2 = _populations(phi)
-    r1, r2, _ = _rates(params)
-    a = p1 * r1 * math.exp(-params.eta * r1 * n)
-    b = p2 * r2 * math.exp(-params.eta * r2 * n)
+    a, b = _click_sectors(params, phi, n)
     if a + b == 0.0:
         return None
     return a / (a + b)
@@ -194,11 +214,7 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     dP/dn = eta p1 R1 e^{-eta R1 n} + eta p2 R2 e^{-eta R2 n}; integrates to
     p1 + p2 over [0, infinity) at eta = 1.
     """
-    _check_photons(n)
-    _, p1, p2 = _populations(phi)
-    r1, r2, _ = _rates(params)
-    return (params.eta * p1 * r1 * math.exp(-params.eta * r1 * n)
-            + params.eta * p2 * r2 * math.exp(-params.eta * r2 * n))
+    return params.eta * sum(_click_sectors(params, phi, n))
 
 
 def coherent_single(params: CavityParams, phi: float,
@@ -221,7 +237,7 @@ def coherent_single(params: CavityParams, phi: float,
     click1 = -math.expm1(-a * n_max)
     ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
     if ps == 0.0:
-        return _outcome(0.0, None, status=STATUS_UNDEFINED)
+        return _UNDEFINED
     p1c_avg = p1 * click1 / ps
     # ps > 0 means x > 0, so lam > 0
     coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
@@ -230,24 +246,26 @@ def coherent_single(params: CavityParams, phi: float,
 
 def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
                            n_max: float) -> tuple[float, float, float]:
-    # (t*, P*, dP*/dn_max) of `coherent_single` on the floor F = f_target,
-    # with t = tan^2(phi), click rates a = eta R1 <= b = eta R2, unvalidated.
+    # (t*, P*, rise) of `coherent_single` on the floor F = f_target, with
+    # t = tan^2(phi), click rates a = eta R1 <= b = eta R2, unvalidated; the
+    # rise is dP*/dn_max where P* > 0, else -inf, so it is >= 0 exactly where
+    # P* rises.
     # With A = 1 - e^{-a n} (click1), B = 1 - e^{-b n} (click2) and
     # C = a (1 - e^{-(a + lam) n}) / (a + lam) (coh), the populations enter
     # only through p2/p1 = t/2: F = (A + C) / (2A + tB) falls in t while
     # P_s = (2tA + t^2 B) / (1 + t)^2 rises in t (its t-derivative is
     # 2 (A + t (B - A)) / (1 + t)^3 and B >= A), so the best angle at budget
-    # n sits on the floor, t* = ((A + C)/f_target - 2A) / B. P* and its
-    # slope are 0 where no angle meets the floor (t* <= 0).
+    # n sits on the floor, t* = ((A + C)/f_target - 2A) / B. P* is 0 where
+    # no angle meets the floor (t* <= 0).
     click1 = -math.expm1(-a * n_max)
     click2 = -math.expm1(-b * n_max)
     if click2 == 0.0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, -math.inf
     # b > 0 means x > 0, so lam > 0
     coh = a * -math.expm1(-(a + lam) * n_max) / (a + lam)
     t = ((click1 + coh) / f_target - 2.0 * click1) / click2
     if t <= 0.0:
-        return t, 0.0, 0.0
+        return t, 0.0, -math.inf
     # d/dn of A, B and C
     d1 = a * math.exp(-a * n_max)
     d2 = b * math.exp(-b * n_max)
@@ -257,7 +275,7 @@ def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
     ps = t * (2.0 * click1 + t * click2) / (s * s)
     slope = (2.0 * (click1 + t * (click2 - click1)) / (s * s * s) * dt
              + t * (2.0 * d1 + t * d2) / (s * s))
-    return t, ps, slope
+    return t, ps, slope if ps > 0.0 else -math.inf
 
 
 # (-1)^k (k - 1) / k! for k = 17 down to 2: below z = 1/2 the terms past
@@ -336,7 +354,7 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     r1, _, lam = _rates(params)
     ps, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
     if re_xi is None:
-        return _outcome(0.0, None, status=STATUS_UNDEFINED)
+        return _UNDEFINED
     fid = 0.5 + re_xi
     return _outcome(ps, fid, 1.0, fid - 0.5)
 

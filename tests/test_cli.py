@@ -201,6 +201,27 @@ def test_fock_double_without_reflection_is_undefined(runner):
         "0.0,fock-double,1.0,0.9,,,0.0,,infeasible"
 
 
+def test_optimize_without_a_detector_is_infeasible(runner):
+    # at eta = 0 no click can occur
+    res = invoke(runner, "optimize", "--scheme", "fock-single", "--x", "1",
+                 "--eta", "0", "--f-target", "0.9")
+    assert res.exit_code == 1
+    assert res.output.splitlines()[1] == \
+        "1.0,fock-single,0.0,0.9,,,0.0,,infeasible"
+
+
+@pytest.mark.parametrize("scheme", ["fock-single", "coherent-single",
+                                    "coherent-double"])
+def test_protocol_rejects_a_spurious_reflection_it_does_not_model(runner,
+                                                                  scheme):
+    # only fock-double models f
+    res = invoke(runner, "protocol", "--scheme", scheme, "--x", "1",
+                 *_SCHEME_FLAGS[scheme], "--f-spurious", "0.05")
+    assert res.exit_code == 2
+    assert "f = 0.05" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_protocol_coherent_double_reports_uncorrected_comparison(runner):
     res = invoke(runner, "protocol", "--scheme", "coherent-double",
                  "--x", "1", "--n-max", "2", "--format", "json")

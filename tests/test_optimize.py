@@ -89,7 +89,7 @@ def test_fock_single_row_sits_on_the_floor_at_every_scale(log_x, f_target,
                                              **ring_mode)
     res = optimize_fock_single(params, f_target)
     r1, _, _ = protocol._rates(params)
-    if r1 < sys.float_info.min:
+    if r1 < sys.float_info.min or eta == 0.0:  # at eta = 0 nothing clicks
         assert res.status == STATUS_INFEASIBLE
         return
     assert res.status == STATUS_OK
@@ -98,6 +98,23 @@ def test_fock_single_row_sits_on_the_floor_at_every_scale(log_x, f_target,
     want = eta * protocol.initial_populations(res.phi_opt).p1 * r1 / f_target
     if want > 1e-290:  # a normal P_s keeps its digits
         assert math.isclose(res.p_success, want, rel_tol=4e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-160.0, max_value=3.0),
+       st.floats(min_value=0.5, max_value=1.0 - 1e-12, exclude_min=True),
+       st.floats(min_value=0.01, max_value=1.0), st.booleans())
+@example(-154.0, 1.0 - 1e-9, 1.0, False)  # p2 R2 underflows to 0 here
+def test_fock_single_row_is_the_scheme_outcome_at_its_angle(log_x, f_target,
+                                                            eta, ring):
+    ring_mode = {"g_tilde": 0.7, "kappa_tilde": 1.3} if ring else {}
+    params = CavityParams.from_cooperativity(10.0 ** log_x, eta=eta,
+                                             **ring_mode)
+    res = optimize_fock_single(params, f_target)
+    if res.status == STATUS_OK:
+        out = fock_single(params, res.phi_opt)
+        assert res.fidelity_achieved == out.fidelity
+        assert res.p_success == out.p_success
 
 
 def test_fock_single_sweep_survives_an_underflowing_two_atom_term():
@@ -270,6 +287,8 @@ def _count_calls(monkeypatch, name):
 ], ids=["x1", "x0.3-f", "x0"])
 def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
                                                 params, f_target):
+    if scheme is not Scheme.FOCK_DOUBLE:  # the only scheme that models f
+        params = dataclasses.replace(params, f=0.0)
     calls = [_count_calls(monkeypatch, name) for name in kernel.split("+")]
     res = optimize(params, scheme, f_target)
     assert res.n_evals == sum(map(len, calls)) > 0
@@ -681,11 +700,31 @@ def test_cooperativity_is_bounded_at_x_max():
             optimize(huge, scheme, 0.9)
 
 
+_SPURIOUS = CavityParams.from_cooperativity(1.0, f=0.2)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("params", [
-    CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8),
-    CavityParams.from_cooperativity(1.0, delta=2.0),
-], ids=["asymmetric", "detuned"])
-def test_optimizers_reject_asymmetric_or_detuned_cavities(scheme, params):
-    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
+@pytest.mark.parametrize("params, match", [
+    (CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8),
+     "symmetric mirrors on resonance"),
+    (CavityParams.from_cooperativity(1.0, delta=2.0),
+     "symmetric mirrors on resonance"),
+    (_SPURIOUS, r"fraction f > 0, got f = 0\.2"),
+], ids=["asymmetric", "detuned", "spurious"])
+def test_optimizers_reject_asymmetric_or_detuned_cavities(scheme, params,
+                                                          match):
+    if params is _SPURIOUS and scheme is Scheme.FOCK_DOUBLE:  # models f
+        assert optimize(params, scheme, 0.7).status == STATUS_OK
+        return
+    with pytest.raises(ValueError, match=match):
         optimize(params, scheme, 0.9)
+
+
+def test_every_optimizer_is_infeasible_without_a_detector():
+    # at eta = 0 no click can occur
+    blind = CavityParams.from_cooperativity(1.0, eta=0.0)
+    for scheme in Scheme:
+        res = optimize(blind, scheme, 0.9)
+        assert res.status == STATUS_INFEASIBLE
+        assert res.p_success == 0.0
+        assert res.fidelity_achieved is None

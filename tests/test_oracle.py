@@ -160,6 +160,28 @@ def test_coherence_survives_uncoupled_atoms_under_drive():
     assert coherence_decay_rate(system) == 0.0
 
 
+def test_coherence_decay_does_not_read_the_closed_form_loss(monkeypatch):
+    # the closed-form lambda is what the decay rate is checked against, so
+    # the oracle must not use it, not even to spot uncoupled atoms
+    def closed_form(x, n_atoms):
+        raise AssertionError("the oracle read the closed-form loss")
+
+    monkeypatch.setattr(oracle, "scattering_loss", closed_form)
+    rate = coherence_decay_rate(build_system(P1, 1))
+    assert math.isclose(rate, 0.000320020467987813, rel_tol=1e-12)
+    uncoupled = build_system(CavityParams.from_cooperativity(0.0), 1)
+    assert coherence_decay_rate(uncoupled) == 0.0
+
+
+def test_quadrature_and_monte_carlo_reject_a_spurious_reflection():
+    # both read the closed forms' rates, which leave f out
+    spurious = CavityParams.from_cooperativity(1.0, f=0.1)
+    with pytest.raises(ValueError, match="f = 0.1"):
+        quadrature_single(spurious, math.pi / 4, 2.0)
+    with pytest.raises(ValueError, match="f = 0.1"):
+        monte_carlo_double(spurious, 2.0, 10_000, 1)
+
+
 def test_quadrature_agrees_with_closed_form():
     for x, eta, phi, nm in [(1.0, 1.0, math.pi / 4, 1.0),
                             (0.3, 0.6, 0.5, 2.5)]:

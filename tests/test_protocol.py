@@ -109,6 +109,27 @@ def test_fock_single_undefined_cases():
     assert fock_single(P1, 0.0).fidelity is None
 
 
+def test_fock_single_fidelity_survives_an_underflowing_two_atom_term():
+    # at the angle of F = 1 - 1e-9, p2 R2 underflows against p1 R1 at this
+    # x, where F = p1 R1 / (p1 R1 + p2 R2) rounds to 1
+    f_target = 1.0 - 1e-9
+    params = CavityParams.from_cooperativity(1e-154)
+    r1, r2, _ = _rates(params)
+    phi = math.atan(math.sqrt(2.0 * (r1 / r2) * (1.0 - f_target) / f_target))
+    out = fock_single(params, phi)
+    assert abs(out.fidelity - f_target) <= 4 * math.ulp(f_target)
+
+
+def test_fock_single_fidelity_is_zero_where_only_two_atoms_reflect():
+    # R1 = 16 x^2 rounds to 0 here while R2 = 64 x^2 does not
+    params = CavityParams.from_cooperativity(3e-163)
+    r1, r2, _ = _rates(params)
+    assert r1 == 0.0 < r2
+    out = fock_single(params, 1.2)
+    assert out.status == STATUS_OK
+    assert out.fidelity == 0.0
+
+
 # ---------------------------------------------------------------- fock double
 
 def test_fock_double_reference():
@@ -409,26 +430,36 @@ def test_erlang2_cdf_matches_40_digit_values(z, exact):
 # detuning, where the closed forms would use 0.64
 _UNMODELLED = [CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8),
                CavityParams.from_cooperativity(1.0, delta=2.0)]
+# a spurious reflection, which only the fock-double forms model
+_SPURIOUS = CavityParams.from_cooperativity(1.0, f=0.2)
+
+_READERS = {
+    "fock_single": lambda p: fock_single(p, 0.5),
+    "fock_double": fock_double,
+    "false_reflection_fidelity": lambda p: false_reflection_fidelity(p, 0.05),
+    "conditional_population":
+        lambda p: coherent_conditional_population(p, 0.5, 1.0),
+    "conditional_fidelity":
+        lambda p: coherent_conditional_fidelity(p, 0.5, 1.0),
+    "first_click_density": lambda p: first_click_density(p, 0.5, 1.0),
+    "coherent_single": lambda p: coherent_single(p, 0.5, 1.0),
+    "coherent_double": lambda p: coherent_double(p, 1.0),
+    "uncorrected": lambda p: coherent_double_fidelity_uncorrected(p, 1.0),
+}
 
 
-@pytest.mark.parametrize("params", _UNMODELLED, ids=["asymmetric", "detuned"])
-@pytest.mark.parametrize("evaluate", [
-    lambda p: fock_single(p, 0.5),
-    fock_double,
-    lambda p: false_reflection_fidelity(p, 0.05),
-    lambda p: coherent_conditional_population(p, 0.5, 1.0),
-    lambda p: coherent_conditional_fidelity(p, 0.5, 1.0),
-    lambda p: first_click_density(p, 0.5, 1.0),
-    lambda p: coherent_single(p, 0.5, 1.0),
-    lambda p: coherent_double(p, 1.0),
-    lambda p: coherent_double_fidelity_uncorrected(p, 1.0),
-], ids=["fock_single", "fock_double", "false_reflection_fidelity",
-        "conditional_population", "conditional_fidelity",
-        "first_click_density", "coherent_single", "coherent_double",
-        "uncorrected"])
-def test_schemes_reject_asymmetric_or_detuned_cavities(params, evaluate):
-    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
-        evaluate(params)
+@pytest.mark.parametrize("params, match", [
+    *((p, "symmetric mirrors on resonance") for p in _UNMODELLED),
+    (_SPURIOUS, r"fraction f > 0, got f = 0\.2"),
+], ids=["asymmetric", "detuned", "spurious"])
+@pytest.mark.parametrize("name", _READERS)
+def test_schemes_reject_asymmetric_or_detuned_cavities(params, match, name):
+    if params is _SPURIOUS and name in ("fock_double",
+                                       "false_reflection_fidelity"):
+        _READERS[name](params)  # these model f
+        return
+    with pytest.raises(ValueError, match=match):
+        _READERS[name](params)
 
 
 
@@ -450,6 +481,8 @@ _SETS = {
 @pytest.mark.parametrize("params", _SETS.values(), ids=_SETS)
 @pytest.mark.parametrize("evaluate", _SCHEMES.values(), ids=_SCHEMES)
 def test_outcomes_match_the_public_constructor(evaluate, params):
+    if evaluate is not fock_double:  # the only scheme that models f
+        params = dataclasses.replace(params, f=0.0)
     out = evaluate(params)
     rebuilt = SchemeOutcome(**vars(out))
     assert type(out) is SchemeOutcome
@@ -469,6 +502,16 @@ def test_outcomes_stay_frozen_and_replaceable(evaluate):
     assert changed.fidelity == 0.5
     assert changed.p_success == out.p_success
     assert out.fidelity != 0.5
+
+
+def test_every_scheme_is_undefined_without_a_detector():
+    # at eta = 0 no click can occur
+    blind = CavityParams.from_cooperativity(1.0, eta=0.0)
+    for evaluate in _SCHEMES.values():
+        out = evaluate(blind)
+        assert out.status == STATUS_UNDEFINED
+        assert out.fidelity is None
+        assert out.p_success == 0.0
 
 
 @pytest.mark.parametrize("params", _UNMODELLED, ids=["asymmetric", "detuned"])
