@@ -170,7 +170,8 @@ def _build_params(cfg: dict) -> CavityParams:
                 f"(missing: {', '.join(sorted(missing))})")
         params = CavityParams.from_raw_rates(
             cfg["g"], cfg["kappa_a"], cfg["kappa_b"], cfg["gamma"], **extras)
-        if x is not None and abs(params.cooperativity - x) > 1e-9:
+        if x is not None and not math.isclose(params.cooperativity, x,
+                                              rel_tol=1e-9):
             raise click.UsageError(
                 f"inconsistent parameters: x={x} but raw rates give "
                 f"g^2/(kappa gamma)={params.cooperativity!r}")

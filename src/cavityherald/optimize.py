@@ -8,7 +8,10 @@ optimum sits on the floor. The optimizers solve for it exactly:
   F - F_target changes sign;
 - coherent single: the floor fixes the angle in closed form at every budget,
   and the success probability on the floor is maximized over the budget
-  from a coarse grid and a search on the sign of its derivative.
+  from a coarse grid and a search on the sign of its derivative. Only the
+  grid points that can hold the optimum are evaluated: a bisection cuts the
+  grid above the feasible budgets, and the bound P_s <= eta R2 n_max cuts it
+  below the best value found.
 Each budget search (`_search`) runs capped regula falsi on the signed value
 and then bisects, to float adjacency. Every search is deterministic, with
 no RNG, so identical inputs give bit-identical results.
@@ -206,21 +209,66 @@ def optimize_coherent_single(params: CavityParams,
     so the best angle puts F exactly on the floor, at the closed-form
     t*(n_max) of `protocol._coherent_single_floor`. That leaves one variable:
     P_s on the floor, P*(n_max), is evaluated with its closed-form slope on
-    a coarse log grid. Every grid cell where the slope turns negative is
-    searched to float adjacency on the slope's sign (`_search`), with the
-    grid's slopes as the values at the cell's ends. The best of these local
-    maxima, the ceiling N_MAX_CEILING when P* still rises there, and the
-    best grid point wins.
+    the part of a coarse log grid that can hold the optimum:
+    - upper cut: C/A = a/(a + lambda) (1 - e^{-(a+lambda)n})/(1 - e^{-an})
+      falls in n, because z/(e^z - 1) falls in z, so the budgets where an
+      angle meets the floor, (1 + C/A)/2 > f_target and P* > 0, form an
+      interval (0, n_feas). A bisection over the grid's
+      indices finds its first point above n_feas. That point is evaluated,
+      since the cell below it is searched; no point above it is.
+    - lower cut: on the floor P* = t(2A + tB)/(1 + t)^2 < B <= b n_max for
+      every t >= 0, because A <= B (a = eta R1 <= b = eta R2), and the
+      computed values obey that to a few ulps. So the grid is walked down
+      from n_feas, and the walk stops at the first point n_k where 2 b n_k
+      lies below the best P* so far: no grid point or searched peak below
+      n_k can beat it.
+    Every point skipped has P* below the best one evaluated, so the row is
+    the one the whole grid gives. The cuts rest on the exact sign of t* and
+    on the bound, so the whole grid is evaluated where the floor's arithmetic
+    leaves normal floats (a (a + lambda) times the grid's first budget
+    underflows, x below about 1e-100 at eta = 1), where 1 - f_target is
+    below 1e-12, so that rounding can decide the sign of t* at any budget,
+    and where the first budget admits no angle.
+
+    Every grid cell where the slope turns negative is searched to float
+    adjacency on the slope's sign (`_search`), with the grid's slopes as the
+    values at the cell's ends. The best of these local maxima, the ceiling
+    N_MAX_CEILING when P* still rises there, and the best grid point wins.
     """
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
     # closed form itself
     r1, r2, lam = protocol._rates(params)
+    a, b = params.eta * r1, params.eta * r2
     floor = functools.partial(protocol._coherent_single_floor,
-                              params.eta * r1, params.eta * r2, lam, f_target)
-    grid = _COARSE_GRID
-    coarse = [floor(nm) for nm in grid]
-    n_evals = len(grid)
+                              a, b, lam, f_target)
+    evaluated = {}  # grid index -> (t*, P*, rise)
+
+    def at(k: int) -> tuple[float, float, float]:
+        if k not in evaluated:
+            evaluated[k] = floor(_COARSE_GRID[k])
+        return evaluated[k]
+
+    low, top = 0, len(_COARSE_GRID)  # the whole grid, unless cut
+    if (a * (a + lam) * _COARSE_GRID[0] >= sys.float_info.min
+            and f_target <= 1.0 - 1e-12 and at(0)[1] > 0.0):
+        # upper cut: `top` is the first grid point with P* = 0
+        while top - low > 1:
+            mid = (low + top) // 2
+            if at(mid)[1] > 0.0:
+                low = mid
+            else:
+                top = mid
+        # lower cut: P* < B <= b n_max, and twice that leaves room for
+        # rounding; a subnormal best P* keeps too few digits to compare
+        high = at(low)[1]  # the best P* so far
+        while low > 0 and not (high >= sys.float_info.min
+                               and 2.0 * b * _COARSE_GRID[low] < high):
+            low -= 1
+            high = max(high, at(low)[1])
+    grid = _COARSE_GRID[low:top + 1]
+    coarse = [at(k) for k in range(low, low + len(grid))]
+    n_evals = len(evaluated)
     p_star = [ps for _, ps, _ in coarse]
     best = p_star.index(max(p_star))  # the first of equals
     if p_star[best] <= 0.0:  # no budget admits an angle on the floor

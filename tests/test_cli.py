@@ -454,6 +454,31 @@ def test_config_inconsistent_units_rejected(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_config_consistent_units_agree_to_relative_precision(runner,
+                                                             tmp_path):
+    # g^2/(kappa gamma) = 1e13 to 2e-16 relative, which is 0.002 absolute
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"g": 3162277.6601683795, "kappa_a": 0.5,'
+                   ' "kappa_b": 0.5, "gamma": 1.0, "x": 1e13}')
+    res = invoke(runner, "protocol", "--config", str(cfg),
+                 "--scheme", "fock-double", "--format", "json")
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)[0]["status"] == "ok"
+
+
+def test_config_inconsistent_small_units_rejected(runner, tmp_path):
+    # the raw rates give x = 1e-12, which is 5e-10 less than the x given
+    # but 500 times smaller
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"g": 1e-6, "kappa_a": 0.5, "kappa_b": 0.5,'
+                   ' "gamma": 1.0, "x": 5e-10}')
+    res = invoke(runner, "protocol", "--config", str(cfg),
+                 "--scheme", "fock-double")
+    assert res.exit_code == 2
+    assert "inconsistent parameters" in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("config", [
     '{"g": 1.0, "kappa_a": 0.2, "kappa_b": 0.8, "gamma": 1.0}',
     '{"g": 1.0, "kappa_a": 0.5, "kappa_b": 0.5, "gamma": 1.0, "delta": 2.0}',

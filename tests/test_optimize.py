@@ -27,6 +27,7 @@ from cavityherald.optimize import (
     Scheme,
     SweepSpec,
     _linspace,
+    _result,
     _search,
     default_x_grid,
     optimize,
@@ -300,17 +301,22 @@ def test_n_evals_is_hidden_from_repr_and_equality():
     assert dataclasses.replace(res, n_evals=None) == res
 
 
-def test_coherent_single_row_needs_under_2000_evaluations():
-    # 121 grid points, one budget search to float adjacency and the final
-    # evaluation
-    res = optimize_coherent_single(P1, 0.9)
-    assert res.n_evals < 300
+@pytest.mark.parametrize("f_target", [0.51, 0.6, 0.75, 0.9, 0.99, 0.999,
+                                      0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_coherent_single_row_needs_under_80_evaluations(f_target):
+    # about 7 bisection points for the upper cut, the walk down to the lower
+    # cut (longest near F_t = 1, where P* lies far below b n_max), one
+    # budget search to float adjacency and the final evaluation; measured
+    # 35 to 72 over these targets, against 122 to 167 for the whole grid
+    res = optimize_coherent_single(P1, f_target)
+    assert res.n_evals < 80
 
 
 def test_budget_searches_stay_under_measured_evaluation_ceilings():
-    # measured: 21 and 133; a bisection to float adjacency took 65 and 174
+    # measured: 21 and 35; a bisection to float adjacency took 65 and 174,
+    # and the whole 121-point grid with regula falsi 133 for coherent single
     assert optimize_coherent_double(P1, 0.9).n_evals <= 25
-    assert optimize_coherent_single(P1, 0.9).n_evals <= 150
+    assert optimize_coherent_single(P1, 0.9).n_evals <= 40
 
 
 @pytest.mark.parametrize("scheme, f_target, capped", [
@@ -569,6 +575,90 @@ def test_coherent_single_peak_rises_where_the_next_float_does_not(x, eta,
 
     assert rises(res.n_max_opt)
     assert not rises(math.nextafter(res.n_max_opt, math.inf))
+
+
+def _whole_grid_coherent_single(params, f_target):
+    # the coherent-single optimizer without its cuts: every point of the
+    # coarse grid is evaluated, and every cell where P* stops rising is
+    # searched; returns the row and P* at each grid point
+    r1, r2, lam = protocol._rates(params)
+
+    def floor(nm):
+        return protocol._coherent_single_floor(
+            params.eta * r1, params.eta * r2, lam, f_target, nm)
+
+    grid = _COARSE_GRID
+    coarse = [floor(nm) for nm in grid]
+    p_star = [ps for _, ps, _ in coarse]
+    best = p_star.index(max(p_star))
+    if p_star[best] <= 0.0:
+        return _result(params, Scheme.COHERENT_SINGLE, f_target, 0), p_star
+    rises = [r for _, _, r in coarse]
+    peaks = [_search(lambda nm: floor(nm)[2], grid[k], grid[k + 1],
+                     rises[k], rises[k + 1])
+             for k in range(len(grid) - 1)
+             if rises[k] >= 0.0 and not rises[k + 1] >= 0.0]
+    found = [(nm, floor(nm)) for nm in peaks]
+    if rises[-1] >= 0.0:
+        found.append((grid[-1], coarse[-1]))
+    found.append((grid[best], coarse[best]))
+    nm, (t, _, _) = max(found, key=lambda c: c[1][1])
+    phi = math.atan(math.sqrt(t))
+    return _result(params, Scheme.COHERENT_SINGLE, f_target, 0,
+                   coherent_single(params, phi, nm), phi, nm), p_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
+       f_target=st.floats(min_value=0.5, max_value=1.0 - 1e-9,
+                          exclude_min=True))
+@example(x=1.0, eta=1.0, ring=None, f_target=0.9)
+@example(x=1.0, eta=1.0, ring=None, f_target=0.999)
+@example(x=1e-4, eta=0.01, ring=None, f_target=1.0 - 1e-9)
+@example(x=100.0, eta=1.0, ring=(1.0, 0.5), f_target=0.51)  # the ceiling
+def test_coherent_single_cuts_skip_only_points_that_cannot_win(x, eta, ring,
+                                                               f_target):
+    # the grid points above the upper cut and below the lower cut are never
+    # evaluated; the row is the one the whole grid gives, and no skipped
+    # point beats it
+    params = _params(x, eta, ring)
+    expected, p_star = _whole_grid_coherent_single(params, f_target)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, "_coherent_single_floor")
+        res = optimize_coherent_single(params, f_target)
+    assert res == expected and repr(res) == repr(expected)
+    assert res.budget_capped is expected.budget_capped
+    evaluated = {args[-1] for args in calls}
+    skipped = [ps for nm, ps in zip(_COARSE_GRID, p_star)
+               if nm not in evaluated]
+    if res.status == STATUS_OK:
+        assert all(ps < res.p_success for ps in skipped)
+    else:
+        assert all(ps <= 0.0 for ps in skipped)
+
+
+@pytest.mark.parametrize("x, eta, f_target", [
+    # a (a + lambda) 1e-9 underflows: the floor's C rounds to 0 at small
+    # budgets, so P* = 0 below n_max = 1 and P* > 0 above it
+    (2.183232204024723e-104, 6.976879395177267e-13, 0.6),
+    # C is a subnormal multiple over a + lambda, so P* > 0 at 1e-9 but is
+    # 0 at some budgets between it and the best one, n_max = 1e3
+    (1.0744162929236119e-26, 1.1996797971095793e-238, 1.0 - 1e-9),
+    # 1 - F_t is two ulps, so the sign of t* is rounding at every budget
+    (2.2827955392849073e-98, 1.0, 0.9999999999999998),
+    # n_feas, about 4 (1 - F_t) / lambda = 1.25e-12, lies below the grid
+    (1.0, 1.0, 1.0 - 1e-13),
+])
+def test_coherent_single_evaluates_the_whole_grid_where_cuts_fail(x, eta,
+                                                                  f_target):
+    # where the feasible budgets are no interval in floats, a bisection
+    # would cut the grid at a wrong point
+    params = CavityParams.from_cooperativity(x, eta=eta)
+    expected, _ = _whole_grid_coherent_single(params, f_target)
+    res = optimize_coherent_single(params, f_target)
+    assert res == expected and repr(res) == repr(expected)
+    assert res.n_evals >= len(_COARSE_GRID)
 
 
 def test_dispatcher_accepts_scheme_values():
