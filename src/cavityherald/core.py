@@ -140,14 +140,45 @@ class CavityParams:
         if self.g_tilde > 0 and self.kappa_tilde == 0:
             raise ValueError("g_tilde > 0 requires kappa_tilde > 0")
 
+    # Cached properties work out a value on first use and keep it in the
+    # instance __dict__, which equality, hashing and repr do not read;
+    # replace() builds a new instance. A getter that raises keeps nothing,
+    # so a rejected set raises on every read.
+
     @functools.cached_property
-    def _resonant_rates(self) -> tuple[float, float, float]:
-        # (R1, R2, lambda1) at the effective cooperativity, worked out on
-        # first use and kept in the instance __dict__, which equality,
-        # hashing and repr do not read; replace() builds a new instance
+    def _mirror_rates(self) -> tuple[float, float, float]:
+        # (R1, R2, lambda1) at the effective cooperativity, for the closed
+        # forms of `protocol`, which hold for symmetric mirrors on resonance
+        # only
+        if self.kappa_a != self.kappa_b or self.delta != 0.0:
+            raise ValueError("the schemes model symmetric mirrors on "
+                             "resonance only: kappa_a must equal kappa_b and "
+                             "delta be 0")
         x = effective_cooperativity_ring(self)
         return (reflection_probability(x, 1), reflection_probability(x, 2),
                 scattering_loss(x, 1))
+
+    @functools.cached_property
+    def _rates(self) -> tuple[float, float, float]:
+        # `_mirror_rates` for every closed form that leaves spurious
+        # reflection out, which rejects f > 0 instead of dropping it; only
+        # `fock_double` and `false_reflection_fidelity` model f
+        if self.f > 0.0:
+            raise ValueError("only fock-double models a spurious-reflection "
+                             f"fraction f > 0, got f = {self.f}")
+        return self._mirror_rates
+
+    @functools.cached_property
+    def _amplitude_terms(self) -> tuple[float, ...]:
+        # the terms of `scattering_amplitudes` that depend on the rates
+        # alone: kappa/2, g^2, gamma/2, delta, kappa_a and
+        # sqrt(kappa_a kappa_b)
+        try:
+            g2 = self.g ** 2
+        except OverflowError:  # g above about 1.34e154: NaN fails the check
+            g2 = math.nan
+        return (self.kappa / 2.0, g2, self.gamma / 2.0, self.delta,
+                self.kappa_a, math.sqrt(self.kappa_a * self.kappa_b))
 
     @property
     def kappa(self) -> float:
@@ -183,13 +214,12 @@ class CavityParams:
                    **kwargs)
 
 
-def _frozen(cls, values: dict):
-    """An instance of the frozen dataclass `cls` whose fields hold `values`,
-    given for every field in declaration order. It skips __init__, with its
-    one object.__setattr__ per field, so the caller owns __init__'s work."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
+# A result skips its frozen dataclass __init__, with its one
+# object.__setattr__ per field: `_frozen(cls)` is an empty instance, and the
+# caller fills every field, in declaration order, with one keyword
+# `__dict__.update(...)`. Stores made one key at a time would leave a
+# split-key __dict__, on which field reads are slower.
+_frozen = object.__new__
 
 
 def _probabilities(r: complex, t: complex) -> tuple[float, float, float]:
@@ -249,20 +279,17 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     if not math.isfinite(omega):
         raise ValueError(f"probe frequency must be finite, got {omega}")
     n = _check_n(n_atoms)
-    try:
-        g2 = params.g ** 2
-    except OverflowError:  # g above about 1.34e154: NaN takes the check below
-        g2 = math.nan
-    d = (params.kappa / 2.0 - 1j * omega
-         + n * g2 / (params.gamma / 2.0 + 1j * (params.delta - omega)))
-    r = 1.0 - params.kappa_a / d
-    t = -math.sqrt(params.kappa_a * params.kappa_b) / d
+    half_kappa, g2, half_gamma, delta, kappa_a, root = params._amplitude_terms
+    d = half_kappa - 1j * omega + n * g2 / (half_gamma + 1j * (delta - omega))
+    r = 1.0 - kappa_a / d
+    t = -root / d
     R, T, loss = _probabilities(r, t)
     if not math.isfinite(loss):
         raise ValueError(f"the amplitudes overflow at N = {n_atoms}, "
                          f"g = {params.g}, omega = {omega}")
-    return _frozen(SpectrumPoint, {"omega": omega, "r": r, "t": t,
-                                   "R": R, "T": T, "loss": loss})
+    point = _frozen(SpectrumPoint)
+    point.__dict__.update(omega=omega, r=r, t=t, R=R, T=T, loss=loss)
+    return point
 
 
 def effective_cooperativity_ring(params: CavityParams) -> float:

@@ -29,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import protocol
-from .core import CavityParams, _check_x
+from .core import CavityParams, _check_x, _frozen
 from .protocol import STATUS_OK
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
@@ -117,7 +117,8 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
             phi: float | None = None,
             n_max: float | None = None) -> OptimizationResult:
     # the row for outcome `out` at (phi, n_max); infeasible when out is None
-    return OptimizationResult(
+    row = _frozen(OptimizationResult)
+    row.__dict__.update(
         x=params.cooperativity, scheme=scheme, eta=params.eta,
         f_target=f_target, phi_opt=phi, n_max_opt=n_max,
         p_success=0.0 if out is None else out.p_success,
@@ -126,6 +127,7 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
         n_evals=n_evals,
         budget_capped=(n_max == N_MAX_CEILING if "n_max" in scheme.needs
                        else None))
+    return row
 
 
 def _search(value: Callable[[float], float], lo: float, hi: float,
@@ -180,7 +182,7 @@ def optimize_fock_single(params: CavityParams,
     """
     _check_target(f_target)
     out0 = protocol.fock_single(params, math.pi / 4)
-    r1, r2, _ = protocol._rates(params)
+    r1, r2, _ = params._rates
     if out0.status != protocol.STATUS_OK or r1 < sys.float_info.min:
         return _result(params, Scheme.FOCK_SINGLE, f_target, 1)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
@@ -217,11 +219,15 @@ def optimize_coherent_single(params: CavityParams,
       indices finds its first point above n_feas. That point is evaluated,
       since the cell below it is searched; no point above it is.
     - lower cut: on the floor P* = t(2A + tB)/(1 + t)^2 < B <= b n_max for
-      every t >= 0, because A <= B (a = eta R1 <= b = eta R2), and the
-      computed values obey that to a few ulps. So the grid is walked down
-      from n_feas, and the walk stops at the first point n_k where 2 b n_k
-      lies below the best P* so far: no grid point or searched peak below
-      n_k can beat it.
+      every t >= 0, because A <= B (a = eta R1 <= b = eta R2). And C <= A,
+      so t* <= k A/B with k = 2 (1 - f_target)/f_target, and
+      P* <= 2 t* A + t*^2 B <= (2k + k^2) A^2/B. Both bounds rise in n:
+      the log-derivative of A^2/B is (2 g(an) - g(bn))/n > 0 with
+      g(z) = z/(e^z - 1), which falls. The computed values obey them to a
+      few ulps. So the grid is walked down from n_feas, and the walk stops
+      at the first point n_k where twice the smaller bound at n_k lies
+      below the best P* so far: no grid point or searched peak below n_k
+      can beat it. The second bound is the tighter one near f_target = 1.
     Every point skipped has P* below the best one evaluated, so the row is
     the one the whole grid gives. The cuts rest on the exact sign of t* and
     on the bound, so the whole grid is evaluated where the floor's arithmetic
@@ -234,11 +240,14 @@ def optimize_coherent_single(params: CavityParams,
     adjacency on the slope's sign (`_search`), with the grid's slopes as the
     values at the cell's ends. The best of these local maxima, the ceiling
     N_MAX_CEILING when P* still rises there, and the best grid point wins.
+    As in `optimize_fock_double`, the row is infeasible when the outcome
+    there has no F or misses the floor by more than _CONSTRAINT_TOL, which
+    happens only where the floor's arithmetic leaves normal floats.
     """
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
     # closed form itself
-    r1, r2, lam = protocol._rates(params)
+    r1, r2, lam = params._rates
     a, b = params.eta * r1, params.eta * r2
     floor = functools.partial(protocol._coherent_single_floor,
                               a, b, lam, f_target)
@@ -259,11 +268,19 @@ def optimize_coherent_single(params: CavityParams,
                 low = mid
             else:
                 top = mid
-        # lower cut: P* < B <= b n_max, and twice that leaves room for
-        # rounding; a subnormal best P* keeps too few digits to compare
+        # lower cut: twice the smaller bound on P* leaves room for
+        # rounding; a subnormal best P* keeps too few digits to compare.
+        # (2k + k^2) A^2/B is written A (A/B), which cannot underflow here
+        k = 2.0 * (1.0 - f_target) / f_target
+        k2 = 2.0 * k + k * k
+
+        def cap(nm: float) -> float:
+            click1 = -math.expm1(-a * nm)
+            return min(b * nm, k2 * click1 * (click1 / -math.expm1(-b * nm)))
+
         high = at(low)[1]  # the best P* so far
         while low > 0 and not (high >= sys.float_info.min
-                               and 2.0 * b * _COARSE_GRID[low] < high):
+                               and 2.0 * cap(_COARSE_GRID[low]) < high):
             low -= 1
             high = max(high, at(low)[1])
     grid = _COARSE_GRID[low:top + 1]
@@ -295,8 +312,11 @@ def optimize_coherent_single(params: CavityParams,
     found.append((grid[best], coarse[best]))
     nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
     phi = math.atan(math.sqrt(t))
+    out = protocol.coherent_single(params, phi, nm)
+    if out.fidelity is None or out.fidelity < f_target - _CONSTRAINT_TOL:
+        return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1)
     return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1,
-                   protocol.coherent_single(params, phi, nm), phi, nm)
+                   out, phi, nm)
 
 
 def optimize_coherent_double(params: CavityParams,
@@ -312,7 +332,7 @@ def optimize_coherent_double(params: CavityParams,
     on its 1/2 plateau.
     """
     _check_target(f_target)
-    r1, _, lam = protocol._rates(params)
+    r1, _, lam = params._rates
     a = params.eta * r1
     n_evals = 0
 

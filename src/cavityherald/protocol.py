@@ -59,10 +59,12 @@ class SchemeOutcome:
 def _outcome(p_success: float, fidelity: float, p1_conditional: float,
              re_coherence: float) -> SchemeOutcome:
     # an "ok" closed-form SchemeOutcome, without the Monte Carlo fields
-    return _frozen(SchemeOutcome, {
-        "p_success": p_success, "fidelity": fidelity, "status": STATUS_OK,
-        "p1_conditional": p1_conditional, "re_coherence": re_coherence,
-        "p_success_err": None, "fidelity_err": None, "n_success": None})
+    out = _frozen(SchemeOutcome)
+    out.__dict__.update(
+        p_success=p_success, fidelity=fidelity, status=STATUS_OK,
+        p1_conditional=p1_conditional, re_coherence=re_coherence,
+        p_success_err=None, fidelity_err=None, n_success=None)
+    return out
 
 
 # what every scheme returns where no click can occur
@@ -91,27 +93,6 @@ def initial_populations(phi: float) -> Preparation:
     return Preparation(phi, *_populations(phi))
 
 
-def _mirror_rates(params: CavityParams) -> tuple[float, float, float]:
-    # (R1, R2, lambda1) at the effective cooperativity, worked out once per
-    # params instance; the closed forms hold for symmetric mirrors on
-    # resonance only, so anything else is rejected, on every call
-    if params.kappa_a != params.kappa_b or params.delta != 0.0:
-        raise ValueError("the schemes model symmetric mirrors on resonance "
-                         "only: kappa_a must equal kappa_b and delta be 0")
-    return params._resonant_rates
-
-
-def _rates(params: CavityParams) -> tuple[float, float, float]:
-    # `_mirror_rates` for every closed form that leaves spurious reflection
-    # out, which rejects f > 0 instead of dropping it; only `fock_double`
-    # and `false_reflection_fidelity` model f and read `_mirror_rates`
-    rates = _mirror_rates(params)
-    if params.f > 0.0:
-        raise ValueError("only fock-double models a spurious-reflection "
-                         f"fraction f > 0, got f = {params.f}")
-    return rates
-
-
 def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     """Single-photon input, herald on one reflected-photon click.
 
@@ -126,7 +107,7 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     F = 0 where R1 = 0 < R2 (x ~ 2e-163 to 4e-163).
     """
     _, p1, p2 = _populations(phi)
-    r1, r2, _ = _rates(params)
+    r1, r2, _ = params._rates
     denom = p1 * r1 + p2 * r2
     if params.eta == 0.0 or denom == 0.0:
         return _UNDEFINED
@@ -145,7 +126,7 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     `false_reflection_fidelity` while P_s keeps its ideal-model form. F is
     undefined where no click can occur: eta = 0, or R1 = 0 at f = 0.
     """
-    r1, _, _ = _mirror_rates(params)
+    r1, _, _ = params._mirror_rates
     if params.eta == 0.0 or (r1 == 0.0 and params.f == 0.0):
         return _UNDEFINED
     fid = false_reflection_fidelity(params, params.f) if params.f else 1.0
@@ -161,7 +142,7 @@ def false_reflection_fidelity(params: CavityParams, f: float) -> float:
     """
     if not 0.0 <= f < 1.0:
         raise ValueError("f must lie in [0, 1)")
-    r1, r2, _ = _mirror_rates(params)
+    r1, r2, _ = params._mirror_rates
     good = (r1 * (1.0 - f) + f) ** 2
     return good / (good + f * (r2 * (1.0 - f) + f))
 
@@ -173,7 +154,7 @@ def _click_sectors(params: CavityParams, phi: float,
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
     _, p1, p2 = _populations(phi)
-    r1, r2, _ = _rates(params)
+    r1, r2, _ = params._rates
     return (p1 * r1 * math.exp(-params.eta * r1 * n),
             p2 * r2 * math.exp(-params.eta * r2 * n))
 
@@ -204,7 +185,7 @@ def coherent_conditional_fidelity(params: CavityParams, phi: float,
     p1c = coherent_conditional_population(params, phi, n)
     if p1c is None:
         return None
-    _, _, lam = _rates(params)
+    _, _, lam = params._rates
     return p1c * (1.0 + math.exp(-lam * n)) / 2.0
 
 
@@ -232,7 +213,7 @@ def coherent_single(params: CavityParams, phi: float,
     """
     _check_n_max(n_max)
     _, p1, p2 = _populations(phi)
-    r1, r2, lam = _rates(params)
+    r1, r2, lam = params._rates
     a, b = params.eta * r1, params.eta * r2
     click1 = -math.expm1(-a * n_max)
     ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
@@ -278,10 +259,10 @@ def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
     return t, ps, slope if ps > 0.0 else -math.inf
 
 
-# (-1)^k (k - 1) / k! for k = 17 down to 2: below z = 1/2 the terms past
-# k = 17 are under 1e-17 of the sum
+# (-1)^k (k - 1) / k! for k = 2 to 17: below z = 1/2 the terms past k = 17
+# are under 1e-17 of the sum
 _ERLANG2_SERIES = tuple((-1) ** k * (k - 1) / math.factorial(k)
-                        for k in range(17, 1, -1))
+                        for k in range(2, 18))
 
 
 def _erlang2_cdf(z: float) -> float:
@@ -304,10 +285,11 @@ def _erlang2_scaled(z: float) -> float:
     = 1/2 - z/3 + z^2/8 - ..., summed by Horner's rule.
     """
     if z < 0.5:
-        total = 0.0
-        for coef in _ERLANG2_SERIES:
-            total = total * z + coef
-        return total
+        (c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16,
+         c17) = _ERLANG2_SERIES
+        return c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * (c7 + z * (
+            c8 + z * (c9 + z * (c10 + z * (c11 + z * (c12 + z * (c13 + z * (
+                c14 + z * (c15 + z * (c16 + z * c17))))))))))))))
     return _erlang2_cdf(z) / z / z
 
 
@@ -351,7 +333,7 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     drops the conditioning factor of 2 and can exceed 1.
     """
     _check_n_max(n_max)
-    r1, _, lam = _rates(params)
+    r1, _, lam = params._rates
     ps, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
     if re_xi is None:
         return _UNDEFINED
@@ -369,6 +351,6 @@ def coherent_double_fidelity_uncorrected(params: CavityParams,
     None when P_s = 0, like the fidelity of `coherent_double`.
     """
     _check_n_max(n_max)
-    r1, _, lam = _rates(params)
+    r1, _, lam = params._rates
     _, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
     return None if re_xi is None else 0.5 + 2.0 * re_xi

@@ -87,6 +87,19 @@ def test_spectrum_rejects_a_coupling_whose_square_overflows(g, n):
         scattering_amplitudes(params, 0.0, n)
 
 
+def test_spectrum_rejects_on_every_call():
+    # the amplitude terms are kept on the instance, NaN g^2 included
+    huge = CavityParams(g=1e200, kappa_a=0.5, kappa_b=0.5)
+    params = CavityParams.from_cooperativity(1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflow"):
+            scattering_amplitudes(huge, 0.0, 1)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            scattering_amplitudes(params, 0.0, 10 ** 400)
+    assert scattering_amplitudes(params, 0.0, 1).R == reflection_probability(
+        1.0, 1)
+
+
 def test_spectrum_keeps_the_largest_coupling_with_a_finite_square():
     # g^2 = 1.8e307 is still a float: the atoms take all the light
     params = CavityParams(g=1.34e154, kappa_a=0.5, kappa_b=0.5)

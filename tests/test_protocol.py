@@ -8,6 +8,8 @@ a 10^6-sample Monte Carlo run (see tests/test_oracle.py for the live checks).
 
 import dataclasses
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,6 @@ from cavityherald.protocol import (
     SchemeOutcome,
     _erlang2_cdf,
     _erlang2_scaled,
-    _rates,
     coherent_conditional_fidelity,
     coherent_conditional_population,
     coherent_double,
@@ -114,7 +115,7 @@ def test_fock_single_fidelity_survives_an_underflowing_two_atom_term():
     # x, where F = p1 R1 / (p1 R1 + p2 R2) rounds to 1
     f_target = 1.0 - 1e-9
     params = CavityParams.from_cooperativity(1e-154)
-    r1, r2, _ = _rates(params)
+    r1, r2, _ = params._rates
     phi = math.atan(math.sqrt(2.0 * (r1 / r2) * (1.0 - f_target) / f_target))
     out = fock_single(params, phi)
     assert abs(out.fidelity - f_target) <= 4 * math.ulp(f_target)
@@ -123,7 +124,7 @@ def test_fock_single_fidelity_survives_an_underflowing_two_atom_term():
 def test_fock_single_fidelity_is_zero_where_only_two_atoms_reflect():
     # R1 = 16 x^2 rounds to 0 here while R2 = 64 x^2 does not
     params = CavityParams.from_cooperativity(3e-163)
-    r1, r2, _ = _rates(params)
+    r1, r2, _ = params._rates
     assert r1 == 0.0 < r2
     out = fock_single(params, 1.2)
     assert out.status == STATUS_OK
@@ -350,6 +351,25 @@ def test_erlang2_scaled_is_the_cdf_over_z_squared():
                             rel_tol=1e-15)
 
 
+def test_erlang2_series_matches_the_horner_loop_bit_for_bit():
+    # the series written out against the loop it replaced, which summed
+    # the same coefficients from k = 17 down to 2
+    coefs = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(17, 1, -1)]
+
+    def loop(z):
+        total = 0.0
+        for coef in coefs:
+            total = total * z + coef
+        return total
+
+    zs = [0.0, 5e-324, 1e-310, sys.float_info.min, 1e-200, 1e-16,
+          math.nextafter(0.5, 0.0)]
+    zs += [k / 2 ** 17 for k in range(2 ** 16)]
+    zs += [0.5 * random.Random(19).random() for _ in range(20000)]
+    for z in zs:
+        assert _erlang2_scaled(z) == loop(z), z
+
+
 @given(st.floats(min_value=1e-3, max_value=50.0))
 def test_coherent_double_tradeoff_in_budget(n_max):
     small = coherent_double(P1, n_max)
@@ -458,8 +478,9 @@ def test_schemes_reject_asymmetric_or_detuned_cavities(params, match, name):
                                        "false_reflection_fidelity"):
         _READERS[name](params)  # these model f
         return
-    with pytest.raises(ValueError, match=match):
-        _READERS[name](params)
+    for _ in range(2):  # a rejected set keeps no rates
+        with pytest.raises(ValueError, match=match):
+            _READERS[name](params)
 
 
 
@@ -518,11 +539,10 @@ def test_every_scheme_is_undefined_without_a_detector():
 def test_rates_reject_unmodelled_sets_on_every_call(params):
     for _ in range(2):
         with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
-            _rates(params)
-    # not even once the rates are worked out and kept on the instance
-    assert len(params._resonant_rates) == 3
-    with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
-        _rates(params)
+            params._rates
+    # a getter that raises keeps nothing on the instance
+    assert "_rates" not in vars(params)
+    assert "_mirror_rates" not in vars(params)
 
 
 def _closed_form_rates(x):
@@ -532,15 +552,15 @@ def _closed_form_rates(x):
 
 def test_copies_of_params_get_fresh_rates():
     params = CavityParams.from_cooperativity(1.0, eta=0.7)
-    assert _rates(params) == _closed_form_rates(1.0)
-    assert _rates(with_cooperativity(params, 0.25)) == _closed_form_rates(
+    assert params._rates == _closed_form_rates(1.0)
+    assert with_cooperativity(params, 0.25)._rates == _closed_form_rates(
         0.25)
     # a matched ring mode: x_eff = x / (1 + 4 x) = 0.2
     ring = dataclasses.replace(params, g_tilde=1.0, kappa_tilde=1.0)
-    assert _rates(ring) == _closed_form_rates(0.2)
+    assert ring._rates == _closed_form_rates(0.2)
     with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
-        _rates(dataclasses.replace(params, delta=1.0))
-    assert _rates(params) == _closed_form_rates(1.0)
+        dataclasses.replace(params, delta=1.0)._rates
+    assert params._rates == _closed_form_rates(1.0)
     assert fock_single(params, 0.7) == fock_single(
         CavityParams.from_cooperativity(1.0, eta=0.7), 0.7)
 
@@ -549,7 +569,7 @@ def test_reading_rates_leaves_params_equality_hash_and_repr():
     params = CavityParams.from_cooperativity(0.3, eta=0.9)
     twin = CavityParams.from_cooperativity(0.3, eta=0.9)
     before = repr(params), hash(params)
-    _rates(params)
+    params._rates
     assert (repr(params), hash(params)) == before
     assert params == twin
     assert hash(params) == hash(twin)
