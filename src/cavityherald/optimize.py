@@ -15,6 +15,11 @@ optimum sits on the floor. The optimizers solve for it exactly:
 Each budget search (`_search`) runs capped regula falsi on the signed value
 and then bisects, to float adjacency. Every search is deterministic, with
 no RNG, so identical inputs give bit-identical results.
+
+Every optimizer hands the closed form's outcome at its answer to `_result`,
+and `_result` alone decides the row's status: "ok" only where that outcome
+has an F of at least f_target - _CONSTRAINT_TOL, else infeasible. So no
+optimizer can return an "ok" row off its floor.
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """One optimizer answer; `n_max_opt` is None for the Fock schemes and
-    `status` is "infeasible" when no point satisfies the fidelity floor.
+    """One optimizer answer; `n_max_opt` is None for the Fock schemes.
+    `_result` decides `status` for every optimizer: "ok" only where the
+    outcome at the answer has F >= f_target - _CONSTRAINT_TOL, else
+    "infeasible", with P_s 0 and F, phi_opt and n_max_opt None.
     `n_evals` counts the closed-form evaluations the row took, and
     `budget_capped` says whether a coherent row's budget is N_MAX_CEILING
     (None for the Fock schemes, False for an infeasible coherent row). Both
@@ -116,14 +123,18 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
             n_evals: int, out: protocol.SchemeOutcome | None = None,
             phi: float | None = None,
             n_max: float | None = None) -> OptimizationResult:
-    # the row for outcome `out` at (phi, n_max); infeasible when out is None
+    # the row rule: the row for outcome `out` at (phi, n_max) is "ok" only
+    # where out has an F on the floor, to _CONSTRAINT_TOL; else infeasible
+    fid = None if out is None else out.fidelity
+    if fid is None or not fid >= f_target - _CONSTRAINT_TOL:
+        fid = phi = n_max = None
     row = _frozen(OptimizationResult)
     row.__dict__.update(
         x=params.cooperativity, scheme=scheme, eta=params.eta,
         f_target=f_target, phi_opt=phi, n_max_opt=n_max,
-        p_success=0.0 if out is None else out.p_success,
-        fidelity_achieved=None if out is None else out.fidelity,
-        status=STATUS_INFEASIBLE if out is None else STATUS_OK,
+        p_success=0.0 if fid is None else out.p_success,
+        fidelity_achieved=fid,
+        status=STATUS_INFEASIBLE if fid is None else STATUS_OK,
         n_evals=n_evals,
         budget_capped=(n_max == N_MAX_CEILING if "n_max" in scheme.needs
                        else None))
@@ -175,19 +186,19 @@ def optimize_fock_single(params: CavityParams,
     F = 1 / (1 + tan^2(phi) R2 / (2 R1)) is strictly decreasing in phi while
     P_s grows with p1, so the optimum sits exactly on the constraint:
     tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F. The row
-    reports `protocol.fock_single` at that angle.
+    reports `protocol.fock_single` at that angle, and is infeasible where
+    that outcome is undefined (eta = 0).
 
     A subnormal R1 (x below about 3.7e-155) keeps too few digits for that
-    inversion; such a row is infeasible, like R1 = 0.
+    inversion; such a row is infeasible, like R1 = 0, with no evaluation.
     """
     _check_target(f_target)
-    out0 = protocol.fock_single(params, math.pi / 4)
     r1, r2, _ = params._rates
-    if out0.status != protocol.STATUS_OK or r1 < sys.float_info.min:
-        return _result(params, Scheme.FOCK_SINGLE, f_target, 1)
+    if r1 < sys.float_info.min:
+        return _result(params, Scheme.FOCK_SINGLE, f_target, 0)
     tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
-    return _result(params, Scheme.FOCK_SINGLE, f_target, 2,
+    return _result(params, Scheme.FOCK_SINGLE, f_target, 1,
                    protocol.fock_single(params, phi), phi)
 
 
@@ -195,12 +206,10 @@ def optimize_fock_double(params: CavityParams,
                          f_target: float) -> OptimizationResult:
     """Double-click Fock scheme: phi is pinned to pi/4 and the heralded state
     is pure (F = 1 at f = 0), so the constraint never binds; infeasible only
-    when the mirror fidelity itself falls below target."""
+    when the mirror fidelity itself falls below target or is undefined."""
     _check_target(f_target)
-    out = protocol.fock_double(params)
-    if out.fidelity is None or out.fidelity < f_target - _CONSTRAINT_TOL:
-        return _result(params, Scheme.FOCK_DOUBLE, f_target, 1)
-    return _result(params, Scheme.FOCK_DOUBLE, f_target, 1, out, math.pi / 4)
+    return _result(params, Scheme.FOCK_DOUBLE, f_target, 1,
+                   protocol.fock_double(params), math.pi / 4)
 
 
 def optimize_coherent_single(params: CavityParams,
@@ -240,9 +249,9 @@ def optimize_coherent_single(params: CavityParams,
     adjacency on the slope's sign (`_search`), with the grid's slopes as the
     values at the cell's ends. The best of these local maxima, the ceiling
     N_MAX_CEILING when P* still rises there, and the best grid point wins.
-    As in `optimize_fock_double`, the row is infeasible when the outcome
-    there has no F or misses the floor by more than _CONSTRAINT_TOL, which
-    happens only where the floor's arithmetic leaves normal floats.
+    The row is infeasible when the outcome there has no F or misses the
+    floor by more than _CONSTRAINT_TOL, which happens only where the
+    floor's arithmetic leaves normal floats.
     """
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
@@ -312,11 +321,8 @@ def optimize_coherent_single(params: CavityParams,
     found.append((grid[best], coarse[best]))
     nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
     phi = math.atan(math.sqrt(t))
-    out = protocol.coherent_single(params, phi, nm)
-    if out.fidelity is None or out.fidelity < f_target - _CONSTRAINT_TOL:
-        return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1)
     return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1,
-                   out, phi, nm)
+                   protocol.coherent_single(params, phi, nm), phi, nm)
 
 
 def optimize_coherent_double(params: CavityParams,

@@ -361,7 +361,8 @@ def monte_carlo_double(params: CavityParams, n_max: float, samples: int,
     sector = rng.choice(3, size=samples, p=[0.25, 0.5, 0.25])
     u1 = rng.random(samples)
     u2 = rng.random(samples)
-    with np.errstate(divide="ignore"):  # a zero rate never clicks: n = inf
+    # a zero rate, or one so small that the wait overflows, never clicks
+    with np.errstate(divide="ignore", over="ignore"):
         total = (-np.log(u1) / rates[sector]
                  - np.log(u2) / rates[2 - sector])
     success = total <= n_max

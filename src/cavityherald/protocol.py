@@ -122,14 +122,14 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     Preparation is fixed at phi = pi/4. Only the single-excitation sector can
     reflect in both rounds (the swap maps N to 2 - N and R0 = 0), so
     P_s = eta^2 R1^2 / 2 and the heralded state is pure: F = 1 for an ideal
-    mirror. A spurious-reflection fraction params.f > 0 degrades F per
-    `false_reflection_fidelity` while P_s keeps its ideal-model form. F is
-    undefined where no click can occur: eta = 0, or R1 = 0 at f = 0.
+    mirror. F is `false_reflection_fidelity` at every spurious-reflection
+    fraction params.f, 1 at f = 0, while P_s keeps its ideal-model form. F
+    is undefined where no click can occur: eta = 0, or R1 = 0 at f = 0.
     """
     r1, _, _ = params._mirror_rates
     if params.eta == 0.0 or (r1 == 0.0 and params.f == 0.0):
         return _UNDEFINED
-    fid = false_reflection_fidelity(params, params.f) if params.f else 1.0
+    fid = false_reflection_fidelity(params, params.f)
     return _outcome(0.5 * (params.eta * r1) ** 2, fid, 1.0, fid - 0.5)
 
 
@@ -138,13 +138,24 @@ def false_reflection_fidelity(params: CavityParams, f: float) -> float:
     off the mirror surface without entering the cavity.
 
     F = (R1 (1-f) + f)^2 / ((R1 (1-f) + f)^2 + f (R2 (1-f) + f)); the
-    spurious channel lets the two-atom sector double-click as well.
+    spurious channel lets the two-atom sector double-click as well. Where
+    either term of the denominator leaves the normal range, which takes f
+    below about 1e-154, F takes the scale-free form
+    1 / (1 + (f/c1) (c2/c1)) with c_N = R_N (1-f) + f >= f, so neither
+    ratio overflows. F = 1 exactly at f = 0. ValueError where no click can
+    occur (R1 = 0 at f = 0).
     """
     if not 0.0 <= f < 1.0:
         raise ValueError("f must lie in [0, 1)")
     r1, r2, _ = params._mirror_rates
-    good = (r1 * (1.0 - f) + f) ** 2
-    return good / (good + f * (r2 * (1.0 - f) + f))
+    c1 = r1 * (1.0 - f) + f
+    if c1 == 0.0:
+        raise ValueError("no click can occur: R1 = 0 at f = 0")
+    c2 = r2 * (1.0 - f) + f
+    good, bad = c1 ** 2, f * c2
+    if good < sys.float_info.min or 0.0 < bad < sys.float_info.min:
+        return 1.0 / (1.0 + (f / c1) * (c2 / c1))
+    return good / (good + bad)
 
 
 def _click_sectors(params: CavityParams, phi: float,
@@ -209,19 +220,33 @@ def coherent_single(params: CavityParams, phi: float,
                  + a/(a + lambda) (1 - e^{-(a + lambda) n_max}) ] / (2 P_s),
 
     which equals the quadrature of F_c(n) dP/dn over the window exactly.
-    Diagnostics report the click-averaged p1c and coherence term.
+    Diagnostics report the click-averaged p1c and coherence term. Where
+    p1 (1 - e^{-a n_max}) is subnormal (eta near 1e-300 with a small phi),
+    P_s keeps few digits, so F takes a scale-free form instead: with A, B
+    and C the bracketed terms of P_s and F, p1c = 1 / (1 + (p2/p1) B/A)
+    and F = p1c (1 + C/A) / 2.
     """
     _check_n_max(n_max)
     _, p1, p2 = _populations(phi)
     r1, r2, lam = params._rates
     a, b = params.eta * r1, params.eta * r2
     click1 = -math.expm1(-a * n_max)
-    ps = p1 * click1 + p2 * -math.expm1(-b * n_max)
+    click2 = -math.expm1(-b * n_max)
+    ps1 = p1 * click1
+    ps = ps1 + p2 * click2
     if ps == 0.0:
         return _UNDEFINED
-    p1c_avg = p1 * click1 / ps
     # ps > 0 means x > 0, so lam > 0
-    coh = p1 * a / (a + lam) * -math.expm1(-(a + lam) * n_max) / (2.0 * ps)
+    decay = -math.expm1(-(a + lam) * n_max)
+    if ps1 < sys.float_info.min and click1 > 0.0:
+        # p1 A is subnormal, and so may P_s be: take the scale-free
+        # p1c = 1 / (1 + (p2/p1) B/A) and coherence (C/A) p1c / 2, with C
+        # formed as a/(a + lam) times its decay so that it keeps its digits
+        p1c_avg = 1.0 / (1.0 + p2 / p1 * (click2 / click1))
+        coh = a / (a + lam) * decay / click1 * p1c_avg / 2.0
+    else:
+        p1c_avg = ps1 / ps
+        coh = p1 * a / (a + lam) * decay / (2.0 * ps)
     return _outcome(ps, p1c_avg / 2.0 + coh, p1c_avg, coh)
 
 
