@@ -6,97 +6,77 @@ preparation parameters, and independent master-equation / quadrature /
 Monte Carlo verification oracles.
 
 The function `optimize` re-exported here shadows the submodule of the same
-name, so `import cavityherald.optimize as m` binds the function; use
-`importlib.import_module("cavityherald.optimize")` to reach the module.
+name whatever the import order, so `import cavityherald.optimize as m`
+binds the function; use `importlib.import_module("cavityherald.optimize")`
+to reach the module.
 """
 
-from .core import (
-    CavityParams,
-    SpectrumPoint,
-    effective_cooperativity_ring,
-    reflection_probability,
-    scattering_amplitudes,
-    scattering_loss,
-    transmission_probability,
-    with_cooperativity,
-)
-from .optimize import (
-    OptimizationResult,
-    Scheme,
-    SweepSpec,
-    default_x_grid,
-    optimize,
-    optimize_coherent_double,
-    optimize_coherent_single,
-    optimize_fock_double,
-    optimize_fock_single,
-    sweep,
-)
-from .protocol import (
-    Preparation,
-    SchemeOutcome,
-    coherent_conditional_fidelity,
-    coherent_conditional_population,
-    coherent_double,
-    coherent_double_fidelity_uncorrected,
-    coherent_single,
-    false_reflection_fidelity,
-    first_click_density,
-    fock_double,
-    fock_single,
-    initial_populations,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CavityParams",
-    "SpectrumPoint",
-    "reflection_probability",
-    "transmission_probability",
-    "scattering_loss",
-    "scattering_amplitudes",
-    "effective_cooperativity_ring",
-    "with_cooperativity",
-    "Preparation",
-    "SchemeOutcome",
-    "initial_populations",
-    "fock_single",
-    "fock_double",
-    "false_reflection_fidelity",
-    "coherent_conditional_population",
-    "coherent_conditional_fidelity",
-    "first_click_density",
-    "coherent_single",
-    "coherent_double",
-    "coherent_double_fidelity_uncorrected",
-    "Scheme",
-    "OptimizationResult",
-    "SweepSpec",
-    "default_x_grid",
-    "optimize",
-    "optimize_fock_single",
-    "optimize_fock_double",
-    "optimize_coherent_single",
-    "optimize_coherent_double",
-    "sweep",
-    "LindbladSystem",
-    "OracleDiagnosticError",
-    "build_system",
-    "steady_state_rt",
-    "steady_state_density_matrix",
-    "coherence_decay_rate",
-    "quadrature_single",
-    "monte_carlo_double",
-    "run_verification_suite",
-    "__version__",
-]
+# each public name, by the module that defines it; a name loads its module
+# on first use (PEP 562), so a command compiles only the modules it runs,
+# and numpy loads only with the oracle, which only `verify` uses
+_MODULES = {
+    "core": ("CavityParams", "SpectrumPoint", "reflection_probability",
+             "transmission_probability", "scattering_loss",
+             "scattering_amplitudes", "effective_cooperativity_ring",
+             "with_cooperativity", "default_x_grid"),
+    "protocol": ("Preparation", "SchemeOutcome", "initial_populations",
+                 "fock_single", "fock_double", "false_reflection_fidelity",
+                 "coherent_conditional_population",
+                 "coherent_conditional_fidelity", "first_click_density",
+                 "coherent_single", "coherent_double",
+                 "coherent_double_fidelity_uncorrected", "Scheme"),
+    "optimize": ("OptimizationResult", "SweepSpec", "optimize",
+                 "optimize_fock_single", "optimize_fock_double",
+                 "optimize_coherent_single", "optimize_coherent_double",
+                 "sweep"),
+    "oracle": ("LindbladSystem", "OracleDiagnosticError", "build_system",
+               "steady_state_rt", "steady_state_density_matrix",
+               "coherence_decay_rate", "quadrature_single",
+               "monte_carlo_double", "run_verification_suite"),
+}
+_HOME = {name: module for module, names in _MODULES.items()
+         for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):
-    # Only the oracle's names in __all__ reach this: the oracle pulls in
-    # numpy, so it loads on first use (PEP 562), which only `verify` makes.
-    if name in __all__:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """The package, whose attribute `optimize` is always the function.
+
+    Importing the submodule `optimize` binds it as an attribute of the
+    package, which would shadow the function; this property drops that
+    binding and keeps any other value set."""
+
+    @property
+    def optimize(self):
+        try:
+            return vars(self)["optimize"]
+        except KeyError:
+            return __getattr__("optimize")
+
+    @optimize.setter
+    def optimize(self, value) -> None:
+        if value is not sys.modules.get(f"{self.__name__}.optimize"):
+            vars(self)["optimize"] = value
+
+
+sys.modules[__name__].__class__ = _Package

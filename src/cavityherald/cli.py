@@ -19,23 +19,22 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import math
 import os
-import pathlib
 import sys
 
 import click
 
+# `protocol`, `optimize` and json load only in the commands that use them
 from .core import (
     CavityParams,
+    _linspace,
+    default_x_grid,
     reflection_probability,
     scattering_amplitudes,
     scattering_loss,
     transmission_probability,
 )
-from .optimize import Scheme, SweepSpec, _linspace, default_x_grid, sweep
-from .protocol import STATUS_OK, coherent_double_fidelity_uncorrected
 
 _PARAM_KEYS = frozenset(
     ["x", *(f.name for f in dataclasses.fields(CavityParams))])
@@ -74,6 +73,7 @@ def _emit(rows: list[dict], cfg: dict) -> None:
     """Write the rows as JSON, or as CSV with columns in the rows' key
     order."""
     if cfg.get("format") == "json":
+        import json
         clean = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
         text = json.dumps(clean, indent=2) + "\n"
     else:
@@ -111,8 +111,10 @@ def _settings(config: str | None, keys: frozenset[str] = frozenset(),
     of that name (`_check_type`), and a repeatable one must not be empty."""
     cfg = {}
     if config is not None:
+        import json
         try:
-            cfg = json.loads(pathlib.Path(config).read_text())
+            with open(config) as file:
+                cfg = json.load(file)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise click.UsageError(f"cannot read config: {exc}")
         if not isinstance(cfg, dict):
@@ -269,8 +271,9 @@ def cmd_spectrum(config, **flags) -> None:
     _emit(rows, cfg)
 
 
-_SCHEMES = [s.value for s in Scheme]
-_SCHEME_ARGS = frozenset(name for s in Scheme for name in s.needs)
+# the values of `protocol.Scheme`, as a literal so that no command line
+# loads the closed forms to parse its options
+_SCHEMES = ["fock-single", "fock-double", "coherent-single", "coherent-double"]
 
 
 @main.command("protocol")
@@ -291,12 +294,14 @@ def cmd_protocol(config, **flags) -> None:
         raise click.UsageError("--scheme is required")
     params = _build_params(cfg)
 
+    from .protocol import Scheme, coherent_double_fidelity_uncorrected
     scheme = Scheme(cfg["scheme"])
     if any(name not in cfg for name in scheme.needs):
         needed = " and ".join("--" + name.replace("_", "-")
                               for name in scheme.needs)
         raise click.UsageError(f"{scheme.value} needs {needed}")
-    extra = _SCHEME_ARGS.intersection(cfg).difference(scheme.needs)
+    extra = {name for s in Scheme for name in s.needs
+             if name in cfg and name not in scheme.needs}
     if extra:
         raise click.UsageError(
             f"{scheme.value} takes no {' or '.join(sorted(extra))}")
@@ -333,6 +338,7 @@ def cmd_optimize(ctx, config, **flags) -> None:
         raise click.UsageError("--scheme is required")
     if "f_target" not in cfg:
         raise click.UsageError("--f-target is required")
+    from .optimize import STATUS_OK, Scheme, SweepSpec, sweep
     results = sweep(SweepSpec(
         x_grid=tuple(cfg.get("x_grid") or default_x_grid()),
         eta=cfg.get("eta", 1.0), f_target=cfg["f_target"],
@@ -362,6 +368,8 @@ def cmd_verify(ctx, config, **flags) -> None:
     # numpy loads only here, so a thread count set now still reaches BLAS;
     # the oracle's small dense products stall on two threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import json
+
     from . import oracle
     given = {k: cfg[k] for k in ("seed", "samples") if k in cfg}
     if given.get("samples", oracle.MIN_SAMPLES) < oracle.MIN_SAMPLES:

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field, replace
 
 
 def _check_n(n_atoms: int) -> int:
+    # an int that a float holds exactly passes the checks below unchanged
+    if type(n_atoms) is int and 0 <= n_atoms <= 2 ** 53:
+        return n_atoms
     try:  # is_integer() is False for inf and NaN
         ok = n_atoms >= 0 and float(n_atoms).is_integer()
     except OverflowError:  # an int too large for a float
@@ -313,3 +316,23 @@ def with_cooperativity(params: CavityParams, x: float) -> CavityParams:
     if x < 0:
         raise ValueError("cooperativity must be nonnegative")
     return replace(params, g=math.sqrt(x * params.kappa * params.gamma))
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from start to stop inclusive, by the
+    arithmetic of np.linspace, so the two agree bit for bit."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num < 2:
+        return [0.0 * delta + start] * num
+    step = delta / (num - 1)
+    if step == 0.0:  # the step underflowed: scale by k / (num - 1) instead
+        return [k / (num - 1) * delta + start for k in range(num - 1)] + [stop]
+    return [k * step + start for k in range(num - 1)] + [stop]
+
+
+def default_x_grid(n_points: int = 40) -> tuple[float, ...]:
+    """Log-spaced cooperativity grid covering the regime of interest, as
+    Python floats (not np.float64) within one ulp of np.logspace."""
+    return tuple(10.0 ** y for y in _linspace(math.log10(0.05),
+                                              math.log10(2.0), n_points))

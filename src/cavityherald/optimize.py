@@ -25,7 +25,6 @@ optimizer can return an "ok" row off its floor.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import itertools
 import math
@@ -34,8 +33,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import protocol
-from .core import CavityParams, _check_x, _frozen
-from .protocol import STATUS_OK
+# the scheme table and the default grid are re-exported from where they live
+from .core import CavityParams, _check_x, _frozen, _linspace, default_x_grid
+from .protocol import STATUS_OK, Scheme
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
 _CONSTRAINT_TOL = 1e-9
@@ -87,26 +87,6 @@ class SweepSpec:
             raise ValueError("x_grid must be strictly increasing")
         for x in self.x_grid:
             _check_x(x)
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """`num` evenly spaced floats from start to stop inclusive, by the
-    arithmetic of np.linspace, so the two agree bit for bit."""
-    start, stop = float(start), float(stop)
-    delta = stop - start
-    if num < 2:
-        return [0.0 * delta + start] * num
-    step = delta / (num - 1)
-    if step == 0.0:  # the step underflowed: scale by k / (num - 1) instead
-        return [k / (num - 1) * delta + start for k in range(num - 1)] + [stop]
-    return [k * step + start for k in range(num - 1)] + [stop]
-
-
-def default_x_grid(n_points: int = 40) -> tuple[float, ...]:
-    """Log-spaced cooperativity grid covering the regime of interest, as
-    Python floats (not np.float64) within one ulp of np.logspace."""
-    return tuple(10.0 ** y for y in _linspace(math.log10(0.05),
-                                              math.log10(2.0), n_points))
 
 
 # coherent-single budgets: 121 log-spaced, 10 per decade, exact endpoints
@@ -357,29 +337,6 @@ def optimize_coherent_double(params: CavityParams,
     nm = hi if v_hi >= 0.0 else _search(margin, lo, hi, v_lo, v_hi)
     return _result(params, Scheme.COHERENT_DOUBLE, f_target, n_evals + 1,
                    protocol.coherent_double(params, nm), math.pi / 4, nm)
-
-
-class Scheme(str, enum.Enum):
-    """The scheme table. Each member's value is the scheme's name, and it
-    carries `evaluate(params, *args)`, the scheme's closed form; `needs`, the
-    names of those args after params; and `optimizer(params, f_target)`,
-    which maximizes the closed form's P_s at a fidelity floor."""
-
-    def __new__(cls, name, evaluate, needs, optimizer):
-        member = str.__new__(cls, name)
-        member._value_ = name
-        member.evaluate, member.needs = evaluate, needs
-        member.optimizer = optimizer
-        return member
-
-    FOCK_SINGLE = ("fock-single", protocol.fock_single, ("phi",),
-                   optimize_fock_single)
-    FOCK_DOUBLE = ("fock-double", protocol.fock_double, (),
-                   optimize_fock_double)
-    COHERENT_SINGLE = ("coherent-single", protocol.coherent_single,
-                       ("phi", "n_max"), optimize_coherent_single)
-    COHERENT_DOUBLE = ("coherent-double", protocol.coherent_double,
-                       ("n_max",), optimize_coherent_double)
 
 
 def optimize(params: CavityParams, scheme: Scheme,

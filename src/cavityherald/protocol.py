@@ -11,10 +11,16 @@ apply the reduced coupling in both the reflection probabilities and the
 scattering loss. Asymmetric mirrors and a detuned cavity are not modelled
 and raise ValueError, and so does a spurious-reflection fraction f > 0
 everywhere but in `fock_double` and `false_reflection_fidelity`.
+
+`Scheme`, the scheme table, lives here beside the closed forms it names, so
+a command that evaluates one scheme loads no optimizer.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
+import importlib
 import math
 import sys
 from dataclasses import dataclass
@@ -379,3 +385,30 @@ def coherent_double_fidelity_uncorrected(params: CavityParams,
     r1, _, lam = params._rates
     _, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
     return None if re_xi is None else 0.5 + 2.0 * re_xi
+
+
+class Scheme(str, enum.Enum):
+    """The scheme table. Each member's value is the scheme's name, and it
+    carries `evaluate(params, *args)`, the scheme's closed form; `needs`, the
+    names of those args after params; and `optimizer(params, f_target)`,
+    which maximizes the closed form's P_s at a fidelity floor. The
+    optimizers live in `optimize`, which imports this module, so
+    `optimizer` loads it on first use."""
+
+    def __new__(cls, name, evaluate, needs):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.evaluate, member.needs = evaluate, needs
+        return member
+
+    FOCK_SINGLE = ("fock-single", fock_single, ("phi",))
+    FOCK_DOUBLE = ("fock-double", fock_double, ())
+    COHERENT_SINGLE = ("coherent-single", coherent_single, ("phi", "n_max"))
+    COHERENT_DOUBLE = ("coherent-double", coherent_double, ("n_max",))
+
+    @functools.cached_property
+    def optimizer(self):
+        # optimize_fock_single for FOCK_SINGLE, and so on; kept on the
+        # member after the first read
+        module = importlib.import_module(".optimize", __package__)
+        return getattr(module, "optimize_" + self.name.lower())

@@ -728,6 +728,96 @@ def test_commands_but_verify_run_without_numpy(runner):
         assert output == invoke(runner, *args).output, args
 
 
+# ----------------------------------------------------- what each command loads
+
+_BASE = ["cavityherald", "cavityherald.cli", "cavityherald.core"]
+_PROTOCOL = [*_BASE, "cavityherald.protocol"]
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["response", "--x", "0.7", "--n", "1", "--n", "2"], _BASE),
+    (["spectrum", "--x", "0.7", "--n", "1", "--omega-points", "41"], _BASE),
+    *((["protocol", "--scheme", scheme, "--x", "0.7", "--eta", "0.9",
+        *flags], _PROTOCOL) for scheme, flags in _SCHEME_FLAGS.items()),
+    (["optimize", "--scheme", "fock-double", "--eta", "0.9", "--f-target",
+      "0.8"], sorted([*_PROTOCOL, "cavityherald.optimize"])),
+], ids=["response", "spectrum", *_SCHEME_FLAGS, "optimize"])
+def test_cold_command_loads_only_the_modules_it_runs(args, loaded):
+    # the benchmark's cold command lines, each in a fresh interpreter; a CSV
+    # run without --config loads no json either
+    probe = ("import sys\n"
+             "from cavityherald.cli import main\n"
+             "try:\n"
+             "    main(sys.argv[1:])\n"
+             "finally:\n"
+             "    print(*sorted(m for m in sys.modules\n"
+             "                  if m.split('.')[0] in ('cavityherald', 'json')),\n"
+             "          file=sys.stderr)\n")
+    proc = _run_python(probe, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == loaded
+
+
+@pytest.mark.parametrize("first", ["function", "module"])
+def test_package_optimize_is_the_function_in_either_import_order(first):
+    # importing the submodule binds it on the package; that binding is
+    # dropped with no ImportWarning, which would be an error here
+    probe = ("import importlib, sys, types, warnings\n"
+             "warnings.simplefilter('error')\n"
+             "import cavityherald\n"
+             "def module():\n"
+             "    return importlib.import_module('cavityherald.optimize')\n"
+             "if sys.argv[1] == 'module':\n"
+             "    module()\n"
+             "fn = cavityherald.optimize\n"
+             "assert isinstance(fn, types.FunctionType), fn\n"
+             "assert fn is module().optimize is cavityherald.optimize\n"
+             "import cavityherald.optimize as bound\n"
+             "assert bound is fn\n"
+             "from cavityherald import optimize\n"
+             "assert optimize is fn\n")
+    proc = _run_python(probe, first)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    probe = ("import sys, cavityherald\n"
+             "assert [m for m in sys.modules\n"
+             "        if m.startswith('cavityherald')] == ['cavityherald']\n"
+             "names = set(cavityherald.__all__) - {'__version__'}\n"
+             "for name in names:\n"
+             "    obj = getattr(cavityherald, name)\n"
+             "    assert obj.__module__.startswith('cavityherald.'), name\n"
+             "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+             "assert set(cavityherald.__all__) <= set(dir(cavityherald))\n"
+             "assert not hasattr(cavityherald, 'no_such_name')\n")
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scheme_choices_are_the_scheme_table():
+    from cavityherald.protocol import Scheme
+    for command in ("protocol", "optimize"):
+        [option] = [p for p in main.commands[command].params
+                    if p.name == "scheme"]
+        assert list(option.type.choices) == [s.value for s in Scheme]
+
+
+def test_each_scheme_loads_its_optimizer_on_first_use():
+    probe = ("import importlib, sys\n"
+             "from cavityherald.protocol import Scheme\n"
+             "assert 'cavityherald.optimize' not in sys.modules\n"
+             "found = [s.optimizer for s in Scheme]\n"
+             "opt = importlib.import_module('cavityherald.optimize')\n"
+             "assert opt.Scheme is Scheme\n"
+             "assert found == [opt.optimize_fock_single, opt.optimize_fock_double,\n"
+             "                 opt.optimize_coherent_single,\n"
+             "                 opt.optimize_coherent_double]\n"
+             "assert all(s.optimizer is f for s, f in zip(Scheme, found))\n")
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_passes_and_reports_json(runner):
     res = invoke(runner, "verify", "--samples", "20000")
     assert res.exit_code == 0

@@ -13,6 +13,7 @@ from cavityherald.core import (
     X_MAX,
     CavityParams,
     SpectrumPoint,
+    _check_n,
     effective_cooperativity_ring,
     reflection_probability,
     scattering_amplitudes,
@@ -98,6 +99,33 @@ def test_spectrum_rejects_on_every_call():
             scattering_amplitudes(params, 0.0, 10 ** 400)
     assert scattering_amplitudes(params, 0.0, 1).R == reflection_probability(
         1.0, 1)
+
+
+@pytest.mark.parametrize("n", [-1, 10 ** 400, 2.5, math.nan, math.inf],
+                         ids=["negative", "int-beyond-float", "fraction",
+                              "nan", "infinite"])
+def test_atom_count_check_rejects_what_it_cannot_model(n):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        _check_n(n)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        scattering_amplitudes(CavityParams.from_cooperativity(1.0), 0.0, n)
+
+
+def test_atom_count_check_rejects_a_string():
+    with pytest.raises(TypeError):
+        _check_n("2")
+
+
+@pytest.mark.parametrize("n, want", [
+    (0, 0), (2, 2), (2 ** 53, 2 ** 53), (2 ** 53 + 1, 2 ** 53 + 1),
+    (10 ** 300, 10 ** 300), (True, 1), (False, 0), (3.0, 3), (-0.0, 0),
+    (1e300, int(1e300)),
+])
+def test_atom_count_check_returns_the_int(n, want):
+    # small ints take a fast path; bools, integral floats and ints beyond
+    # 2**53 take the full check, and each comes back as the same int
+    got = _check_n(n)
+    assert type(got) is int and got == want
 
 
 def test_spectrum_keeps_the_largest_coupling_with_a_finite_square():
