@@ -247,9 +247,18 @@ def coherent_single(params: CavityParams, phi: float,
     if ps1 < sys.float_info.min and click1 > 0.0:
         # p1 A is subnormal, and so may P_s be: take the scale-free
         # p1c = 1 / (1 + (p2/p1) B/A) and coherence (C/A) p1c / 2, with C
-        # formed as a/(a + lam) times its decay so that it keeps its digits
-        p1c_avg = 1.0 / (1.0 + p2 / p1 * (click2 / click1))
-        coh = a / (a + lam) * decay / click1 * p1c_avg / 2.0
+        # formed as a/(a + lam) times its decay so that it keeps its digits.
+        # Where A = a n_max is itself subnormal, B/A and C/A are ratios of
+        # subnormals; then B = b n_max too (b <= 4a), so B/A = b/a, taken as
+        # R2/R1 in case eta made a subnormal, and C/A = decay/((a + lam) n_max)
+        if click1 < sys.float_info.min:
+            b_over_a = r2 / r1
+            c_over_a = decay / ((a + lam) * n_max)
+        else:
+            b_over_a = click2 / click1
+            c_over_a = a / (a + lam) * decay / click1
+        p1c_avg = 1.0 / (1.0 + p2 / p1 * b_over_a)
+        coh = c_over_a * p1c_avg / 2.0
     else:
         p1c_avg = ps1 / ps
         coh = p1 * a / (a + lam) * decay / (2.0 * ps)

@@ -12,9 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from cavityherald.cli import main as cli_main
 from cavityherald.core import (
     CavityParams,
     effective_cooperativity_ring,
@@ -48,6 +46,7 @@ from cavityherald.protocol import (
     false_reflection_fidelity,
     fock_single,
 )
+from conftest import run_cli
 
 P1 = CavityParams.from_cooperativity(1.0)
 
@@ -185,9 +184,8 @@ def test_criterion_07_monte_carlo_arbitration():
     uncorrected = coherent_double_fidelity_uncorrected(P1, 2.0)
     assert uncorrected > 1.0
 
-    res = CliRunner().invoke(cli_main, ["protocol", "--scheme",
-                                        "coherent-double", "--x", "1",
-                                        "--n-max", "2", "--format", "json"])
+    res = run_cli("protocol", "--scheme", "coherent-double", "--x", "1",
+                  "--n-max", "2", "--format", "json")
     row = json.loads(res.output)[0]
     assert row["uncorrected_fidelity"] == uncorrected
     assert row["fidelity"] == closed.fidelity
@@ -291,12 +289,10 @@ def test_criterion_09_optimizer_soundness(sweeps):
 def test_criterion_10_cli_determinism(tmp_path):
     """Identical configs and seeds give byte-identical optimizer sweeps and
     verification reports across repeated runs."""
-    runner = CliRunner()
-
     opt_args = ["optimize", "--scheme", "coherent-double", "--f-target",
                 "0.9"]
-    first = runner.invoke(cli_main, opt_args)
-    second = runner.invoke(cli_main, opt_args)
+    first = run_cli(*opt_args)
+    second = run_cli(*opt_args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
 
@@ -304,12 +300,12 @@ def test_criterion_10_cli_determinism(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     cs_args = ["optimize", "--scheme", "coherent-single", "--f-target", "0.9",
                "--x", "0.25", "--x", "1.0", "--x", "2.0"]
-    assert runner.invoke(cli_main, cs_args + ["--out", str(out_a)]).exit_code == 0
-    assert runner.invoke(cli_main, cs_args + ["--out", str(out_b)]).exit_code == 0
+    assert run_cli(*cs_args, "--out", str(out_a)).exit_code == 0
+    assert run_cli(*cs_args, "--out", str(out_b)).exit_code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
     ver_args = ["verify", "--samples", "100000", "--seed", "20240817"]
-    first = runner.invoke(cli_main, ver_args)
-    second = runner.invoke(cli_main, ver_args)
+    first = run_cli(*ver_args)
+    second = run_cli(*ver_args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output

@@ -8,66 +8,57 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import cavityherald
 from cavityherald.cli import main
 from cavityherald.core import CavityParams
 from cavityherald.protocol import false_reflection_fidelity
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
+from conftest import run_cli
 
 _MAIN = "from cavityherald.cli import main; main()"  # the CLI as a process
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+_TESTS = str(pathlib.Path(__file__).parent)  # where conftest.py lives
 
 
 # ------------------------------------------------------------------- response
 
-def test_response_single_row_exact_bytes(runner):
-    res = invoke(runner, "response", "--x", "1", "--n", "1")
+def test_response_single_row_exact_bytes():
+    res = run_cli("response", "--x", "1", "--n", "1")
     assert res.exit_code == 0
     assert res.output == "x,N,R,T,lambda\n1.0,1,0.64,0.04,0.32\n"
 
 
-def test_response_default_grid(runner):
-    res = invoke(runner, "response")
+def test_response_default_grid():
+    res = run_cli("response")
     lines = res.output.strip().splitlines()
     assert lines[0] == "x,N,R,T,lambda"
     assert len(lines) == 1 + 40 * 3  # default grid, N in {0, 1, 2}
 
 
-def test_response_empty_cavity_row(runner):
-    res = invoke(runner, "response", "--x", "2.5", "--n", "0")
+def test_response_empty_cavity_row():
+    res = run_cli("response", "--x", "2.5", "--n", "0")
     assert res.output.splitlines()[1] == "2.5,0,0.0,1.0,0.0"
 
 
-def test_response_json_mirrors_csv_fields(runner):
-    res = invoke(runner, "response", "--x", "1", "--n", "1",
-                 "--format", "json")
+def test_response_json_mirrors_csv_fields():
+    res = run_cli("response", "--x", "1", "--n", "1",
+                  "--format", "json")
     rows = json.loads(res.output)
     assert rows == [{"x": 1.0, "N": 1, "R": 0.6400000000000001,
                      "T": 0.04000000000000001, "lambda": 0.32}]
 
 
-def test_response_rejects_empty_grid(runner, tmp_path):
+def test_response_rejects_empty_grid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"x_grid": []}')
-    res = invoke(runner, "response", "--config", str(cfg))
+    res = run_cli("response", "--config", str(cfg))
     assert res.exit_code == 2
 
 
-def test_response_rejects_fractional_atom_count(runner, tmp_path):
+def test_response_rejects_fractional_atom_count(tmp_path):
     # only reachable through a config file; the flag is typed int
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n_values": [1.5]}')
-    res = invoke(runner, "response", "--config", str(cfg), "--x", "1")
+    res = run_cli("response", "--config", str(cfg), "--x", "1")
     assert res.exit_code == 2
 
 
@@ -76,9 +67,9 @@ def test_response_rejects_fractional_atom_count(runner, tmp_path):
     ("response", "--x", "1", "--n", "-1"),
     ("spectrum", "--x", "1", "--n", "-1"),
 ])
-def test_negative_cooperativity_or_atom_count_is_a_usage_error(runner, args):
+def test_negative_cooperativity_or_atom_count_is_a_usage_error(args):
     # the library's own range checks, turned into exit 2
-    res = invoke(runner, *args)
+    res = run_cli(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
 
@@ -88,38 +79,35 @@ def test_negative_cooperativity_or_atom_count_is_a_usage_error(runner, args):
     '{"n_values": [NaN], "x_grid": [1.0]}',
     '{"n_values": [1%s], "x_grid": [1e10]}' % ("0" * 300),
 ], ids=["infinite", "nan", "overflowing-4Nx"])
-def test_response_rejects_atom_counts_it_cannot_model(runner, tmp_path,
-                                                      config):
+def test_response_rejects_atom_counts_it_cannot_model(tmp_path, config):
     # an infinite count used to end in an OverflowError traceback (exit 1),
     # and 4 N x = 4e310 in a table of R = nan (exit 0); the type rule now
     # rejects the two floats, and the library the integer 10^300
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    res = invoke(runner, "response", "--config", str(cfg))
+    res = run_cli("response", "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
 
 
 @pytest.mark.parametrize("n_atoms", ["Infinity", "1" + "0" * 300],
                          ids=["Infinity", "1e300"])
-def test_spectrum_rejects_atom_counts_it_cannot_model(runner, tmp_path,
-                                                      n_atoms):
+def test_spectrum_rejects_atom_counts_it_cannot_model(tmp_path, n_atoms):
     # N g^2 = 1e310 made every amplitude nan; 10^300 is a JSON integer, so
     # the type rule lets it through to the library
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"x": 1e10, "n_atoms": {n_atoms}}}')
-    res = invoke(runner, "spectrum", "--config", str(cfg), "--omega", "0")
+    res = run_cli("spectrum", "--config", str(cfg), "--omega", "0")
     assert res.exit_code == 2
     assert res.stdout == ""
 
 
-def test_spectrum_rejects_a_coupling_whose_square_overflows(runner,
-                                                            tmp_path):
+def test_spectrum_rejects_a_coupling_whose_square_overflows(tmp_path):
     # g ** 2 = 1e400 ended in an OverflowError traceback (exit 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1e200, "kappa_a": 0.5, "kappa_b": 0.5,'
                    ' "gamma": 1.0}')
-    res = invoke(runner, "spectrum", "--config", str(cfg), "--omega", "0")
+    res = run_cli("spectrum", "--config", str(cfg), "--omega", "0")
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "overflow" in res.output
@@ -127,84 +115,84 @@ def test_spectrum_rejects_a_coupling_whose_square_overflows(runner,
 
 # ------------------------------------------------------------------- spectrum
 
-def test_spectrum_header_and_resonant_row(runner):
-    res = invoke(runner, "spectrum", "--x", "1", "--n", "1", "--omega", "0")
+def test_spectrum_header_and_resonant_row():
+    res = run_cli("spectrum", "--x", "1", "--n", "1", "--omega", "0")
     lines = res.output.splitlines()
     assert lines[0] == "omega,re_r,im_r,re_t,im_t,R,T,lambda"
     assert lines[1] == "0.0,0.8,0.0,-0.2,0.0,0.64,0.04,0.32"
 
 
-def test_spectrum_empty_cavity_transmits_on_resonance(runner):
-    res = invoke(runner, "spectrum", "--x", "1", "--n", "0", "--omega", "0",
-                 "--format", "json")
+def test_spectrum_empty_cavity_transmits_on_resonance():
+    res = run_cli("spectrum", "--x", "1", "--n", "0", "--omega", "0",
+                  "--format", "json")
     row = json.loads(res.output)[0]
     assert row["T"] == 1.0
     assert row["R"] == 0.0
 
 
-def test_spectrum_far_detuned_reflects(runner):
-    res = invoke(runner, "spectrum", "--x", "1", "--n", "1",
-                 "--omega", "1e5", "--format", "json")
+def test_spectrum_far_detuned_reflects():
+    res = run_cli("spectrum", "--x", "1", "--n", "1",
+                  "--omega", "1e5", "--format", "json")
     row = json.loads(res.output)[0]
     assert row["R"] > 0.99999
 
 
-def test_spectrum_default_window(runner):
-    res = invoke(runner, "spectrum", "--x", "1", "--n", "1")
+def test_spectrum_default_window():
+    res = run_cli("spectrum", "--x", "1", "--n", "1")
     assert len(res.output.strip().splitlines()) == 1 + 201
 
 
 # ------------------------------------------------------------------- protocol
 
-def test_protocol_requires_scheme_parameters(runner):
-    assert invoke(runner, "protocol", "--scheme", "fock-single",
-                  "--x", "1").exit_code == 2  # no phi
-    assert invoke(runner, "protocol", "--scheme", "coherent-double",
-                  "--x", "1").exit_code == 2  # no n-max
-    assert invoke(runner, "protocol", "--x", "1").exit_code == 2  # no scheme
-    res = invoke(runner, "protocol", "--scheme", "fock-double")  # no x
+def test_protocol_requires_scheme_parameters():
+    assert run_cli("protocol", "--scheme", "fock-single",
+                   "--x", "1").exit_code == 2  # no phi
+    assert run_cli("protocol", "--scheme", "coherent-double",
+                   "--x", "1").exit_code == 2  # no n-max
+    assert run_cli("protocol", "--x", "1").exit_code == 2  # no scheme
+    res = run_cli("protocol", "--scheme", "fock-double")  # no x
     assert res.exit_code == 2
     assert "cooperativity required" in res.output
     # out-of-range values are usage errors, not tracebacks
-    assert invoke(runner, "protocol", "--scheme", "fock-single",
-                  "--x", "1", "--phi", "3").exit_code == 2
+    assert run_cli("protocol", "--scheme", "fock-single",
+                   "--x", "1", "--phi", "3").exit_code == 2
     for n_max in ("0", "-1"):
-        assert invoke(runner, "protocol", "--scheme", "coherent-double",
-                      "--x", "1", "--n-max", n_max).exit_code == 2
+        assert run_cli("protocol", "--scheme", "coherent-double",
+                       "--x", "1", "--n-max", n_max).exit_code == 2
 
 
-def test_protocol_fock_double_row(runner):
-    res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "1")
+def test_protocol_fock_double_row():
+    res = run_cli("protocol", "--scheme", "fock-double", "--x", "1")
     lines = res.output.splitlines()
     assert lines[0].startswith("scheme,p_success,fidelity,status")
     assert lines[1].startswith("fock-double,0.2048,1.0,ok")
 
 
-def test_protocol_undefined_outcome_is_explicit(runner):
-    res = invoke(runner, "protocol", "--scheme", "fock-single",
-                 "--x", "0", "--phi", "0.5", "--format", "json")
+def test_protocol_undefined_outcome_is_explicit():
+    res = run_cli("protocol", "--scheme", "fock-single",
+                  "--x", "0", "--phi", "0.5", "--format", "json")
     assert res.exit_code == 0
     row = json.loads(res.output)[0]
     assert row["status"] == "undefined"
     assert row["fidelity"] is None
 
 
-def test_fock_double_without_reflection_is_undefined(runner):
+def test_fock_double_without_reflection_is_undefined():
     # R1 = 0 at x = 0; the row used to read "ok" with F = 1 at P_s = 0
-    res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "0")
+    res = run_cli("protocol", "--scheme", "fock-double", "--x", "0")
     assert res.exit_code == 0
     assert res.output.splitlines()[1] == "fock-double,0.0,,undefined,,,"
-    res = invoke(runner, "optimize", "--scheme", "fock-double", "--x", "0",
-                 "--f-target", "0.9")
+    res = run_cli("optimize", "--scheme", "fock-double", "--x", "0",
+                  "--f-target", "0.9")
     assert res.exit_code == 1  # no row is feasible
     assert res.output.splitlines()[1] == \
         "0.0,fock-double,1.0,0.9,,,0.0,,infeasible"
 
 
-def test_optimize_without_a_detector_is_infeasible(runner):
+def test_optimize_without_a_detector_is_infeasible():
     # at eta = 0 no click can occur
-    res = invoke(runner, "optimize", "--scheme", "fock-single", "--x", "1",
-                 "--eta", "0", "--f-target", "0.9")
+    res = run_cli("optimize", "--scheme", "fock-single", "--x", "1",
+                  "--eta", "0", "--f-target", "0.9")
     assert res.exit_code == 1
     assert res.output.splitlines()[1] == \
         "1.0,fock-single,0.0,0.9,,,0.0,,infeasible"
@@ -212,49 +200,48 @@ def test_optimize_without_a_detector_is_infeasible(runner):
 
 @pytest.mark.parametrize("scheme", ["fock-single", "coherent-single",
                                     "coherent-double"])
-def test_protocol_rejects_a_spurious_reflection_it_does_not_model(runner,
-                                                                  scheme):
+def test_protocol_rejects_a_spurious_reflection_it_does_not_model(scheme):
     # only fock-double models f
-    res = invoke(runner, "protocol", "--scheme", scheme, "--x", "1",
-                 *_SCHEME_FLAGS[scheme], "--f-spurious", "0.05")
+    res = run_cli("protocol", "--scheme", scheme, "--x", "1",
+                  *_SCHEME_FLAGS[scheme], "--f-spurious", "0.05")
     assert res.exit_code == 2
     assert "f = 0.05" in res.output
     assert "Traceback" not in res.output
 
 
-def test_protocol_coherent_double_reports_uncorrected_comparison(runner):
-    res = invoke(runner, "protocol", "--scheme", "coherent-double",
-                 "--x", "1", "--n-max", "2", "--format", "json")
+def test_protocol_coherent_double_reports_uncorrected_comparison():
+    res = run_cli("protocol", "--scheme", "coherent-double",
+                  "--x", "1", "--n-max", "2", "--format", "json")
     row = json.loads(res.output)[0]
     assert math.isclose(row["p_success"], 0.1830374774833587, rel_tol=1e-12)
     assert math.isclose(row["fidelity"], 0.8471709597659821, rel_tol=1e-12)
     assert row["uncorrected_fidelity"] > 1.0
 
 
-def test_protocol_coherent_double_undefined_row_has_no_nan(runner):
+def test_protocol_coherent_double_undefined_row_has_no_nan():
     args = ("protocol", "--scheme", "coherent-double", "--x", "0",
             "--n-max", "2")
-    res = invoke(runner, *args)
+    res = run_cli(*args)
     assert res.exit_code == 0
     assert res.output.splitlines()[1] == "coherent-double,0.0,,undefined,,,"
-    row = json.loads(invoke(runner, *args, "--format", "json").output)[0]
+    row = json.loads(run_cli(*args, "--format", "json").output)[0]
     assert row["uncorrected_fidelity"] is None
 
 
-def test_protocol_f_spurious_flag_wins_over_config(runner, tmp_path):
+def test_protocol_f_spurious_flag_wins_over_config(tmp_path):
     params = CavityParams.from_cooperativity(1.0)
     args = ("protocol", "--scheme", "fock-double", "--x", "1",
             "--format", "json")
-    res = invoke(runner, *args, "--f-spurious", "0.05")
+    res = run_cli(*args, "--f-spurious", "0.05")
     assert res.exit_code == 0
     want = false_reflection_fidelity(params, 0.05)
     assert json.loads(res.output)[0]["fidelity"] == want < 1.0
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"f": 0.2}')
-    res = invoke(runner, *args, "--config", str(cfg))
+    res = run_cli(*args, "--config", str(cfg))
     assert (json.loads(res.output)[0]["fidelity"]
             == false_reflection_fidelity(params, 0.2))
-    res = invoke(runner, *args, "--config", str(cfg), "--f-spurious", "0.05")
+    res = run_cli(*args, "--config", str(cfg), "--f-spurious", "0.05")
     assert json.loads(res.output)[0]["fidelity"] == want
 
 
@@ -269,7 +256,7 @@ _SCHEME_FLAGS = {"fock-single": ["--phi", "0.6"], "fock-double": [],
     ("fock-single", "n_max"), ("fock-double", "phi"),
     ("fock-double", "n_max"), ("coherent-double", "phi")])
 def test_protocol_rejects_a_parameter_the_scheme_does_not_take(
-        runner, tmp_path, route, scheme, name):
+        tmp_path, route, scheme, name):
     value = {"phi": 0.6, "n_max": 1.5}[name]
     args = ["protocol", "--scheme", scheme, "--x", "0.7",
             *_SCHEME_FLAGS[scheme]]
@@ -279,15 +266,15 @@ def test_protocol_rejects_a_parameter_the_scheme_does_not_take(
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: value}))
         args += ["--config", str(cfg)]
-    res = invoke(runner, *args)
+    res = run_cli(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "takes no" in res.output and name in res.output
 
 
-def test_protocol_eta_flag(runner):
-    res = invoke(runner, "protocol", "--scheme", "fock-double", "--x", "1",
-                 "--eta", "0.5", "--format", "json")
+def test_protocol_eta_flag():
+    res = run_cli("protocol", "--scheme", "fock-double", "--x", "1",
+                  "--eta", "0.5", "--format", "json")
     row = json.loads(res.output)[0]
     assert math.isclose(row["p_success"], 0.2048 / 4, rel_tol=1e-12)
 
@@ -307,8 +294,8 @@ def test_protocol_eta_flag(runner):
     ("optimize", "--scheme", "fock-single", "--x", "1", "--x", "inf",
      "--f-target", "0.9"),
 ])
-def test_non_finite_input_is_a_usage_error(runner, args):
-    res = invoke(runner, *args)
+def test_non_finite_input_is_a_usage_error(args):
+    res = run_cli(*args)
     assert res.exit_code == 2
     assert res.stdout == ""  # no row, NaN or otherwise
 
@@ -321,18 +308,114 @@ def test_non_finite_input_is_a_usage_error(runner, args):
     ("optimize", "--scheme", "coherent-single", "--x", "1e200",
      "--f-target", "0.9"),
 ])
-def test_cooperativity_above_x_max_is_a_usage_error(runner, args):
+def test_cooperativity_above_x_max_is_a_usage_error(args):
     # (1 + 4 N x)^2 would overflow near x = 3e153
-    res = invoke(runner, *args)
+    res = run_cli(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "X_MAX" in res.output
 
 
-def test_cooperativity_at_x_max_is_accepted(runner):
-    res = invoke(runner, "response", "--x", "1e100", "--n", "2")
+def test_cooperativity_at_x_max_is_accepted():
+    res = run_cli("response", "--x", "1e100", "--n", "2")
     assert res.exit_code == 0
     assert res.stdout == "x,N,R,T,lambda\n1e+100,2,1.0,1.5625e-202,2.5e-101\n"
+
+
+# -------------------------------------------------------------------- parsing
+
+def test_a_flag_takes_its_value_after_an_equals_sign():
+    res = run_cli("response", "--x=1", "--n=1")
+    assert res.exit_code == 0
+    assert res.stdout == "x,N,R,T,lambda\n1.0,1,0.64,0.04,0.32\n"
+
+
+def test_a_negative_number_is_a_value_not_a_flag():
+    res = run_cli("spectrum", "--x", "1", "--omega-start", "-1e3",
+                  "--omega-stop", "1e3", "--omega-points", "2")
+    assert res.exit_code == 0
+    assert res.stdout == (
+        "omega,re_r,im_r,re_t,im_t,R,T,lambda\n"
+        "-1000.0,0.999999749999,0.000500000375,-2.50000687501e-07,"
+        "0.000500000375,0.999999749999,2.500004375e-07,4.99895978597e-13\n"
+        "1000.0,0.999999749999,-0.000500000375,-2.50000687501e-07,"
+        "-0.000500000375,0.999999749999,2.500004375e-07,4.99895978597e-13\n")
+
+
+def test_negative_infinity_reaches_the_library_check():
+    res = run_cli("response", "--x", "-inf")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith("\nError: cooperativity must lie in "
+                               "[0, X_MAX = 1e+100], got -inf\n")
+
+
+def test_a_repeated_single_flag_keeps_its_last_value():
+    res = run_cli("protocol", "--scheme", "fock-single", "--x", "1", "--x",
+                  "0.5", "--phi", "0.6", "--phi", "0.4")
+    assert res.exit_code == 0
+    assert res.stdout == run_cli("protocol", "--scheme", "fock-single",
+                                 "--x", "0.5", "--phi", "0.4").stdout
+
+
+def test_a_repeatable_flag_keeps_its_order():
+    res = run_cli("response", "--x", "2", "--n", "2", "--x", "0.5",
+                  "--n", "1")
+    assert res.exit_code == 0
+    rows = [line.split(",")[:2] for line in res.stdout.splitlines()[1:]]
+    assert rows == [["2.0", "2"], ["2.0", "1"], ["0.5", "2"], ["0.5", "1"]]
+
+
+_COMMAND_USAGE = ("Usage: cavityherald response [OPTIONS]\n"
+                  "Try 'cavityherald response --help' for help.\n\n")
+_PROGRAM_USAGE = ("Usage: cavityherald [OPTIONS] COMMAND [ARGS]...\n"
+                  "Try 'cavityherald --help' for help.\n\n")
+
+
+@pytest.mark.parametrize("args, usage, error", [
+    (["response", "--x"], _COMMAND_USAGE,
+     "Option '--x' requires an argument."),
+    (["response", "--bogus", "1"], _COMMAND_USAGE,
+     "No such option '--bogus'."),
+    (["response", "--x", "1", "extra"], _COMMAND_USAGE,
+     "Got unexpected extra argument (extra)"),
+    (["bogus"], _PROGRAM_USAGE, "No such command 'bogus'."),
+    (["--x", "1", "response"], _PROGRAM_USAGE, "No such option '--x'."),
+    ([], _PROGRAM_USAGE, "Missing command."),
+    (["response", "--n", "1.5"], _COMMAND_USAGE,
+     "Invalid value for '--n': '1.5' is not a valid integer."),
+    (["response", "--x", "abc"], _COMMAND_USAGE,
+     "Invalid value for '--x': 'abc' is not a valid float."),
+], ids=["missing-value", "unknown-option", "extra-argument",
+        "unknown-command", "option-before-command", "bare", "fractional-n",
+        "text-x"])
+def test_a_bad_command_line_is_a_usage_error(args, usage, error):
+    res = run_cli(*args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"{usage}Error: {error}\n"
+
+
+@pytest.mark.parametrize("route", ["missing", "directory"])
+def test_config_flag_needs_an_existing_file(tmp_path, route):
+    path = tmp_path / "missing.json" if route == "missing" else tmp_path
+    res = run_cli("response", "--config", str(path))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    why = "does not exist" if route == "missing" else "is a directory"
+    assert f"Error: Invalid value for '--config': File '{path}' {why}." \
+        in res.stderr
+
+
+def test_program_help_lists_the_commands():
+    res = run_cli("--help")
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    head, commands = res.stdout.split("\nCommands:\n")
+    assert head.startswith("Usage: cavityherald [OPTIONS] COMMAND")
+    assert [line.split()[0] for line in commands.splitlines()
+            if not line.startswith("    ")] == list(main.commands) == [
+        "response", "spectrum", "protocol", "optimize", "verify"]
 
 
 # --------------------------------------------------------------------- config
@@ -352,11 +435,10 @@ def test_cooperativity_at_x_max_is_accepted(runner):
 ], ids=["response-grid", "spectrum-count", "spectrum-atoms", "protocol-x",
         "protocol-bool", "optimize-grid", "spectrum-integral-float",
         "response-integral-float", "verify-bool"])
-def test_config_value_of_wrong_type_is_a_usage_error(runner, tmp_path, args,
-                                                      config):
+def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, args, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    res = invoke(runner, *args, "--config", str(cfg))
+    res = run_cli(*args, "--config", str(cfg))
     assert res.exit_code == 2
     assert "wrong type" in res.output
 
@@ -367,11 +449,11 @@ def test_config_value_of_wrong_type_is_a_usage_error(runner, tmp_path, args,
     ("protocol", "--scheme", "fock-double", "--x", "1"),
     ("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
 ], ids=["response", "spectrum", "protocol", "optimize"])
-def test_config_unknown_format_is_a_usage_error(runner, tmp_path, args):
+def test_config_unknown_format_is_a_usage_error(tmp_path, args):
     # the same rule as the --format flag, which accepts only csv and json
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"format": "xml"}')
-    res = invoke(runner, *args, "--config", str(cfg))
+    res = run_cli(*args, "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "csv or json" in res.output
@@ -383,32 +465,32 @@ def test_config_unknown_format_is_a_usage_error(runner, tmp_path, args):
     (("optimize", "--scheme", "fock-double", "--f-target", "0.9"),
      '{"x_grid": []}'),
 ], ids=["response-n", "spectrum-omega", "optimize-x"])
-def test_config_empty_grid_is_a_usage_error(runner, tmp_path, args, config):
+def test_config_empty_grid_is_a_usage_error(tmp_path, args, config):
     # like an empty response x_grid, no empty grid falls back to a default
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    res = invoke(runner, *args, "--config", str(cfg))
+    res = run_cli(*args, "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "is empty" in res.output
 
 
-def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
+def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"x": 1.0, "scheme": "fock-double"}')
-    base = invoke(runner, "protocol", "--config", str(cfg), "--format",
-                  "json")
+    base = run_cli("protocol", "--config", str(cfg), "--format",
+                   "json")
     assert json.loads(base.output)[0]["p_success"] == 0.2048000000000001
-    over = invoke(runner, "protocol", "--config", str(cfg), "--x", "0.25",
-                  "--format", "json")
+    over = run_cli("protocol", "--config", str(cfg), "--x", "0.25",
+                   "--format", "json")
     # R_1(0.25) = 1/4, so the double-click probability drops to 1/32
     assert json.loads(over.output)[0]["p_success"] == 0.03125
 
 
-def test_config_unknown_scheme_rejected(runner, tmp_path):
+def test_config_unknown_scheme_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"x": 1.0, "scheme": "bogus"}')
-    res = invoke(runner, "protocol", "--config", str(cfg))
+    res = run_cli("protocol", "--config", str(cfg))
     assert res.exit_code == 2
     assert "bogus" in res.output
 
@@ -417,63 +499,62 @@ def test_config_unknown_scheme_rejected(runner, tmp_path):
     ("protocol", "--x", "1"),
     ("optimize", "--f-target", "0.9"),
 ], ids=["protocol", "optimize"])
-def test_config_unknown_scheme_names_the_choices(runner, tmp_path, args):
+def test_config_unknown_scheme_names_the_choices(tmp_path, args):
     # the rule of the --scheme flag, whose choices the message lists
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"scheme": "bogus"}')
-    res = invoke(runner, *args, "--config", str(cfg))
+    res = run_cli(*args, "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
     assert ("config scheme must be fock-single, fock-double, coherent-single"
             " or coherent-double, got 'bogus'") in res.output
 
 
-def test_config_unknown_key_rejected(runner, tmp_path):
+def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"x": 1.0, "bogus": 2}')
-    res = invoke(runner, "response", "--config", str(cfg))
+    res = run_cli("response", "--config", str(cfg))
     assert res.exit_code == 2
     assert "bogus" in res.output
 
 
-def test_config_raw_rates_accepted(runner, tmp_path):
+def test_config_raw_rates_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         '{"g": 2.0, "kappa_a": 1.0, "kappa_b": 1.0, "gamma": 2.0}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double", "--format", "json")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double", "--format", "json")
     assert json.loads(res.output)[0]["p_success"] == 0.2048000000000001
 
 
-def test_config_inconsistent_units_rejected(runner, tmp_path):
+def test_config_inconsistent_units_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1.0, "kappa_a": 0.5, "kappa_b": 0.5,'
                    ' "gamma": 1.0, "x": 3.0}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double")
     assert res.exit_code == 2
 
 
-def test_config_consistent_units_agree_to_relative_precision(runner,
-                                                             tmp_path):
+def test_config_consistent_units_agree_to_relative_precision(tmp_path):
     # g^2/(kappa gamma) = 1e13 to 2e-16 relative, which is 0.002 absolute
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 3162277.6601683795, "kappa_a": 0.5,'
                    ' "kappa_b": 0.5, "gamma": 1.0, "x": 1e13}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double", "--format", "json")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double", "--format", "json")
     assert res.exit_code == 0
     assert json.loads(res.stdout)[0]["status"] == "ok"
 
 
-def test_config_inconsistent_small_units_rejected(runner, tmp_path):
+def test_config_inconsistent_small_units_rejected(tmp_path):
     # the raw rates give x = 1e-12, which is 5e-10 less than the x given
     # but 500 times smaller
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1e-6, "kappa_a": 0.5, "kappa_b": 0.5,'
                    ' "gamma": 1.0, "x": 5e-10}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double")
     assert res.exit_code == 2
     assert "inconsistent parameters" in res.stderr
     assert res.stdout == ""
@@ -486,34 +567,33 @@ def test_config_inconsistent_small_units_rejected(runner, tmp_path):
 ], ids=["asymmetric", "detuned-raw", "detuned-x"])
 @pytest.mark.parametrize("scheme", ["fock-single", "fock-double",
                                     "coherent-single", "coherent-double"])
-def test_protocol_rejects_asymmetric_or_detuned_cavity(runner, tmp_path,
+def test_protocol_rejects_asymmetric_or_detuned_cavity(tmp_path,
                                                         config, scheme):
     # the schemes model symmetric mirrors on resonance only; `spectrum`
     # models the rest
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    res = invoke(runner, "protocol", "--config", str(cfg), "--scheme",
-                 scheme, *_SCHEME_FLAGS[scheme])
+    res = run_cli("protocol", "--config", str(cfg), "--scheme",
+                  scheme, *_SCHEME_FLAGS[scheme])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "symmetric mirrors on resonance" in res.output
-    assert invoke(runner, "spectrum", "--config", str(cfg), "--omega",
-                  "0").exit_code == 0
+    assert run_cli("spectrum", "--config", str(cfg), "--omega",
+                   "0").exit_code == 0
 
 
 @pytest.mark.parametrize("text", [b'{"x": 1.0', b'[1.0]', b'\xff\xfe{}'],
                          ids=["invalid-json", "array", "not-utf8"])
-def test_config_that_is_not_a_json_object_is_a_usage_error(runner, tmp_path,
-                                                            text):
+def test_config_that_is_not_a_json_object_is_a_usage_error(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text)
-    res = invoke(runner, "response", "--config", str(cfg))
+    res = run_cli("response", "--config", str(cfg))
     assert res.exit_code == 2
     assert res.stdout == ""
 
 
 @pytest.mark.parametrize("route", ["response", "verify", "config-directory"])
-def test_unwritable_output_is_a_usage_error(runner, tmp_path, route):
+def test_unwritable_output_is_a_usage_error(tmp_path, route):
     missing = str(tmp_path / "missing" / "out.csv")
     if route == "response":
         args = ["response", "--x", "1", "--out", missing]
@@ -523,7 +603,7 @@ def test_unwritable_output_is_a_usage_error(runner, tmp_path, route):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out": str(tmp_path)}))
         args = ["response", "--x", "1", "--config", str(cfg)]
-    res = invoke(runner, *args)
+    res = run_cli(*args)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "cannot write output" in res.output
@@ -583,29 +663,28 @@ def test_closed_pipe_is_a_usage_error():
         _assert_cannot_write(proc.wait(timeout=60), stderr)
 
 
-def test_config_raw_rates_the_params_reject_are_a_usage_error(runner,
-                                                              tmp_path):
+def test_config_raw_rates_the_params_reject_are_a_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1, "kappa_a": 0, "kappa_b": 1, "gamma": 1}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double")
     assert res.exit_code == 2
     assert "mirror decay rates must be positive" in res.output
 
 
-def test_partial_raw_rates_rejected(runner, tmp_path):
+def test_partial_raw_rates_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"g": 1.0, "kappa_a": 0.5}')
-    res = invoke(runner, "protocol", "--config", str(cfg),
-                 "--scheme", "fock-double")
+    res = run_cli("protocol", "--config", str(cfg),
+                  "--scheme", "fock-double")
     assert res.exit_code == 2
 
 
 # ------------------------------------------------------------------- optimize
 
-def test_optimize_single_point(runner):
-    res = invoke(runner, "optimize", "--scheme", "fock-single", "--x", "1",
-                 "--f-target", "0.9")
+def test_optimize_single_point():
+    res = run_cli("optimize", "--scheme", "fock-single", "--x", "1",
+                  "--f-target", "0.9")
     lines = res.output.splitlines()
     assert lines[0] == ("x,scheme,eta,F_target,phi_opt,n_max_opt,"
                         "P_s,F_achieved,status")
@@ -613,13 +692,13 @@ def test_optimize_single_point(runner):
     assert res.exit_code == 0
 
 
-def test_optimize_matches_protocol_at_returned_point(runner):
-    res = invoke(runner, "optimize", "--scheme", "coherent-single",
-                 "--x", "1", "--f-target", "0.9", "--format", "json")
+def test_optimize_matches_protocol_at_returned_point():
+    res = run_cli("optimize", "--scheme", "coherent-single",
+                  "--x", "1", "--f-target", "0.9", "--format", "json")
     row = json.loads(res.output)[0]
-    back = invoke(runner, "protocol", "--scheme", "coherent-single",
-                  "--x", "1", "--phi", repr(row["phi_opt"]),
-                  "--n-max", repr(row["n_max_opt"]), "--format", "json")
+    back = run_cli("protocol", "--scheme", "coherent-single",
+                   "--x", "1", "--phi", repr(row["phi_opt"]),
+                   "--n-max", repr(row["n_max_opt"]), "--format", "json")
     prow = json.loads(back.output)[0]
     assert math.isclose(prow["p_success"], row["P_s"], rel_tol=1e-12)
     assert math.isclose(prow["fidelity"], row["F_achieved"], rel_tol=1e-12)
@@ -629,36 +708,36 @@ def test_optimize_matches_protocol_at_returned_point(runner):
     (("--f-target", "0.9"), "--scheme"),
     (("--scheme", "fock-single"), "--f-target"),
 ])
-def test_optimize_needs_scheme_and_target(runner, args, missing):
-    res = invoke(runner, "optimize", "--x", "1", *args)
+def test_optimize_needs_scheme_and_target(args, missing):
+    res = run_cli("optimize", "--x", "1", *args)
     assert res.exit_code == 2
     assert f"{missing} is required" in res.output
 
 
-def test_optimize_all_rows_infeasible_exits_nonzero(runner):
+def test_optimize_all_rows_infeasible_exits_nonzero():
     # an uncoupled cavity never heralds, so every row comes back infeasible
-    res = invoke(runner, "optimize", "--scheme", "fock-single", "--x", "0",
-                 "--f-target", "0.9")
+    res = run_cli("optimize", "--scheme", "fock-single", "--x", "0",
+                  "--f-target", "0.9")
     assert res.exit_code == 1
     assert "infeasible" in res.output
 
 
-def test_optimize_mixed_rows_exit_zero(runner, tmp_path):
+def test_optimize_mixed_rows_exit_zero(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scheme": "fock-single", "f_target": 0.9, "x_grid": [0.0, 1.0],
     }))
-    res = invoke(runner, "optimize", "--config", str(cfg))
+    res = run_cli("optimize", "--config", str(cfg))
     lines = res.output.splitlines()
     assert res.exit_code == 0  # one feasible row is enough for success
     statuses = [ln.rsplit(",", 1)[1] for ln in lines[1:]]
     assert statuses == ["infeasible", "ok"]
 
 
-def test_optimize_writes_file_not_stdout(runner, tmp_path):
+def test_optimize_writes_file_not_stdout(tmp_path):
     out = tmp_path / "rows.csv"
-    res = invoke(runner, "optimize", "--scheme", "fock-single", "--x", "1",
-                 "--f-target", "0.9", "--out", str(out))
+    res = run_cli("optimize", "--scheme", "fock-single", "--x", "1",
+                  "--f-target", "0.9", "--out", str(out))
     assert res.exit_code == 0
     assert res.output == ""
     assert out.read_text().startswith("x,scheme,eta,F_target")
@@ -711,21 +790,20 @@ _NUMPY_FREE_COMMANDS = [
 ]
 
 
-def test_commands_but_verify_run_without_numpy(runner):
+def test_commands_but_verify_run_without_numpy():
     # a None entry in sys.modules makes every numpy import raise ImportError
     probe = ("import json, sys\n"
              "sys.modules['numpy'] = None\n"
-             "from click.testing import CliRunner\n"
-             "from cavityherald.cli import main\n"
-             "results = [CliRunner().invoke(main, args)\n"
-             "           for args in json.loads(sys.argv[1])]\n"
+             "sys.path.insert(0, sys.argv[2])\n"
+             "from conftest import run_cli\n"
+             "results = [run_cli(*args) for args in json.loads(sys.argv[1])]\n"
              "print(json.dumps([[r.exit_code, r.output] for r in results]))\n")
-    proc = _run_python(probe, json.dumps(_NUMPY_FREE_COMMANDS))
+    proc = _run_python(probe, json.dumps(_NUMPY_FREE_COMMANDS), _TESTS)
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
     for args, (code, output) in zip(_NUMPY_FREE_COMMANDS, blocked, strict=True):
         assert code == 0, (args, output)
-        assert output == invoke(runner, *args).output, args
+        assert output == run_cli(*args).output, args
 
 
 # ----------------------------------------------------- what each command loads
@@ -733,29 +811,48 @@ def test_commands_but_verify_run_without_numpy(runner):
 _BASE = ["cavityherald", "cavityherald.cli", "cavityherald.core"]
 _PROTOCOL = [*_BASE, "cavityherald.protocol"]
 
-
-@pytest.mark.parametrize("args, loaded", [
+# the benchmark's cold command lines, and the package modules each loads
+_COLD_COMMANDS = [
     (["response", "--x", "0.7", "--n", "1", "--n", "2"], _BASE),
     (["spectrum", "--x", "0.7", "--n", "1", "--omega-points", "41"], _BASE),
     *((["protocol", "--scheme", scheme, "--x", "0.7", "--eta", "0.9",
         *flags], _PROTOCOL) for scheme, flags in _SCHEME_FLAGS.items()),
     (["optimize", "--scheme", "fock-double", "--eta", "0.9", "--f-target",
       "0.8"], sorted([*_PROTOCOL, "cavityherald.optimize"])),
-], ids=["response", "spectrum", *_SCHEME_FLAGS, "optimize"])
+]
+_COLD_IDS = ["response", "spectrum", *_SCHEME_FLAGS, "optimize"]
+
+
+@pytest.mark.parametrize("args, loaded", _COLD_COMMANDS, ids=_COLD_IDS)
 def test_cold_command_loads_only_the_modules_it_runs(args, loaded):
-    # the benchmark's cold command lines, each in a fresh interpreter; a CSV
-    # run without --config loads no json either
+    # each in a fresh interpreter; a CSV run without --config loads no json
+    # either, and no command loads click
     probe = ("import sys\n"
              "from cavityherald.cli import main\n"
              "try:\n"
              "    main(sys.argv[1:])\n"
              "finally:\n"
-             "    print(*sorted(m for m in sys.modules\n"
-             "                  if m.split('.')[0] in ('cavityherald', 'json')),\n"
+             "    print(*sorted(m for m in sys.modules if m.split('.')[0]\n"
+             "                  in ('cavityherald', 'json', 'click')),\n"
              "          file=sys.stderr)\n")
     proc = _run_python(probe, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == loaded
+
+
+@pytest.mark.parametrize("args", [c[0] for c in _COLD_COMMANDS],
+                         ids=_COLD_IDS)
+def test_cold_command_runs_with_click_blocked(args):
+    # as `python -m cavityherald.cli` runs it; a None entry in sys.modules
+    # makes every click import raise ImportError
+    probe = ("import runpy, sys\n"
+             "sys.modules['click'] = None\n"
+             "sys.argv = ['cavityherald', *sys.argv[1:]]\n"
+             "runpy.run_module('cavityherald.cli', run_name='__main__',\n"
+             "                 alter_sys=True)\n")
+    proc = _run_python(probe, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*args).stdout
 
 
 @pytest.mark.parametrize("first", ["function", "module"])
@@ -798,9 +895,9 @@ def test_package_names_resolve_lazily_to_their_modules():
 def test_scheme_choices_are_the_scheme_table():
     from cavityherald.protocol import Scheme
     for command in ("protocol", "optimize"):
-        [option] = [p for p in main.commands[command].params
-                    if p.name == "scheme"]
-        assert list(option.type.choices) == [s.value for s in Scheme]
+        [option] = [o for o in main.commands[command].options
+                    if o.key == "scheme"]
+        assert list(option.kind) == [s.value for s in Scheme]
 
 
 def test_each_scheme_loads_its_optimizer_on_first_use():
@@ -818,60 +915,60 @@ def test_each_scheme_loads_its_optimizer_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_passes_and_reports_json(runner):
-    res = invoke(runner, "verify", "--samples", "20000")
+def test_verify_passes_and_reports_json():
+    res = run_cli("verify", "--samples", "20000")
     assert res.exit_code == 0
     report = json.loads(res.output)
     assert report["passed"] is True
     assert report["samples"] == 20000
 
 
-def test_verify_sample_floor(runner):
-    assert invoke(runner, "verify", "--samples", "10").exit_code == 2
+def test_verify_sample_floor():
+    assert run_cli("verify", "--samples", "10").exit_code == 2
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])
-def test_verify_negative_seed_is_a_usage_error(runner, tmp_path, route):
+def test_verify_negative_seed_is_a_usage_error(tmp_path, route):
     if route == "flag":
         args = ["--seed", "-1"]
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": -1}')
         args = ["--config", str(cfg)]
-    res = invoke(runner, "verify", "--samples", "20000", *args)
+    res = run_cli("verify", "--samples", "20000", *args)
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "seed" in res.output
 
 
 def test_verify_checks_its_output_path_before_running_the_suite(
-        runner, tmp_path, monkeypatch):
+        tmp_path, monkeypatch):
     def suite(**kwargs):
         raise AssertionError("the suite ran before --out was checked")
 
     monkeypatch.setattr("cavityherald.oracle.run_verification_suite", suite)
-    res = invoke(runner, "verify", "--samples", "20000", "--out",
-                 str(tmp_path / "missing" / "report.json"))
+    res = run_cli("verify", "--samples", "20000", "--out",
+                  str(tmp_path / "missing" / "report.json"))
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "cannot write output" in res.output
 
 
-def test_verify_writes_its_report_to_out(runner, tmp_path):
+def test_verify_writes_its_report_to_out(tmp_path):
     out = tmp_path / "report.json"
     out.write_text("stale")
-    res = invoke(runner, "verify", "--samples", "20000", "--out", str(out))
+    res = run_cli("verify", "--samples", "20000", "--out", str(out))
     assert res.exit_code == 0
     assert res.stdout == ""
     assert json.loads(out.read_text())["passed"] is True
 
 
-def test_verify_failure_exit_code(runner, monkeypatch):
+def test_verify_failure_exit_code(monkeypatch):
     # a wrong closed form for the suite to compare against makes it fail
     from cavityherald.core import reflection_probability
     monkeypatch.setattr("cavityherald.oracle.reflection_probability",
                         lambda x, n: 2.0 * reflection_probability(x, n))
-    res = invoke(runner, "verify", "--samples", "20000")
+    res = run_cli("verify", "--samples", "20000")
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert report["passed"] is False

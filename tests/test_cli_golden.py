@@ -15,10 +15,9 @@ import json
 import pathlib
 
 import pytest
-from click.testing import CliRunner
 
-from cavityherald.cli import main
 from cavityherald.optimize import Scheme, SweepSpec, sweep
+from conftest import run_cli
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
@@ -78,8 +77,7 @@ def _run(args, config, tmp_path) -> dict:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         args = [str(path) if a == "{config}" else a for a in args]
-    res = CliRunner().invoke(main, args, prog_name="cavityherald",
-                             terminal_width=80)
+    res = run_cli(*args)
     return {"exit_code": res.exit_code, "stdout": res.stdout,
             "stderr": res.stderr}
 

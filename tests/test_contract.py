@@ -14,9 +14,7 @@ import itertools
 import math
 
 import pytest
-from click.testing import CliRunner
 
-from cavityherald.cli import main
 from cavityherald.core import (
     X_MAX,
     CavityParams,
@@ -37,6 +35,7 @@ from cavityherald.protocol import (
     false_reflection_fidelity,
     first_click_density,
 )
+from conftest import run_cli
 
 _TINY = 5e-324
 _XS = (0.0, _TINY, 1e-300, 3e-163, 1e-100, 1e-81, 1e-12, 0.3, 1.0, 1e12,
@@ -224,6 +223,18 @@ def test_coherent_single_fidelity_where_p1_a_is_subnormal(x, eta, phi, n_max,
     assert out.fidelity == out.p1_conditional / 2.0 + out.re_coherence
 
 
+def test_coherent_single_fidelity_where_a_n_max_is_subnormal():
+    # A = 1 - e^{-a n_max} is itself subnormal here, so B/A and C/A, taken
+    # as ratios of subnormals, kept five digits (F was 0.25848958143042305);
+    # 60-digit mpmath
+    params = CavityParams.from_cooperativity(2.324465917087005e-06,
+                                             eta=1.386990483678689e-57)
+    out = coherent_single(params, 0.875088662332071, 2.0616303866225e-252)
+    exact = 0.25849027245891912
+    assert abs(out.fidelity - exact) <= 1e-15 * exact
+    assert out.fidelity == out.p1_conditional / 2.0 + out.re_coherence
+
+
 def test_monte_carlo_double_where_every_wait_overflows():
     # -log(u) / rate overflows at rate ~ 1e-300: nothing clicks, no warning
     params = CavityParams.from_cooperativity(1e-12, eta=1e-300)
@@ -232,8 +243,9 @@ def test_monte_carlo_double_where_every_wait_overflows():
 
 
 def _cli(*args):
-    res = CliRunner().invoke(main, ["protocol", *args])
-    assert res.exit_code == 0 and res.exception is None
+    # an exception would propagate out of run_cli, so none was raised
+    res = run_cli("protocol", *args)
+    assert res.exit_code == 0
     assert "Traceback" not in res.output
     return dict(zip(*(line.split(",") for line in res.output.splitlines())))
 
