@@ -21,10 +21,11 @@ __version__ = "0.1.0"
 # on first use (PEP 562), so a command compiles only the modules it runs,
 # and numpy loads only with the oracle, which only `verify` uses
 _MODULES = {
-    "core": ("CavityParams", "SpectrumPoint", "reflection_probability",
-             "transmission_probability", "scattering_loss",
-             "scattering_amplitudes", "effective_cooperativity_ring",
-             "with_cooperativity", "default_x_grid"),
+    "core": ("CavityParams", "SpectrumPoint", "FrozenRecordError",
+             "reflection_probability", "transmission_probability",
+             "scattering_loss", "scattering_amplitudes",
+             "effective_cooperativity_ring", "with_cooperativity",
+             "default_x_grid"),
     "protocol": ("Preparation", "SchemeOutcome", "initial_populations",
                  "fock_single", "fock_double", "false_reflection_fidelity",
                  "coherent_conditional_population",

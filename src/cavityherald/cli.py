@@ -21,10 +21,7 @@ input, so one handler in `_Program.main` reports both, and an output that
 cannot be written too.
 """
 
-from __future__ import annotations
-
 import contextlib
-import dataclasses
 import math
 import os
 import sys
@@ -34,14 +31,14 @@ from .core import (
     CavityParams,
     _linspace,
     default_x_grid,
+    fields,
     reflection_probability,
     scattering_amplitudes,
     scattering_loss,
     transmission_probability,
 )
 
-_PARAM_KEYS = frozenset(
-    ["x", *(f.name for f in dataclasses.fields(CavityParams))])
+_PARAM_KEYS = frozenset(["x", *fields(CavityParams)])
 _RAW_KEYS = {"g", "kappa_a", "kappa_b", "gamma"}
 # the JSON type of a config value whose flag has this kind; a path takes a
 # string
@@ -464,18 +461,23 @@ def cmd_protocol(cfg: dict) -> None:
                   text="Cooperativity grid point (repeatable)."),
           _Option("--eta", float, text="Detector efficiency."),
           _Option("--f-target", float, text="Fidelity floor."),
-          _FORMAT, _OUT)
+          _FORMAT, _OUT, keys=_PARAM_KEYS - {"x"})
 def cmd_optimize(cfg: dict) -> int | None:
     """Maximize success probability at a fidelity floor over an x grid."""
     if "scheme" not in cfg:
         raise ValueError("--scheme is required")
     if "f_target" not in cfg:
         raise ValueError("--f-target is required")
+    if _RAW_KEYS & set(cfg):
+        raise ValueError("optimize takes no raw rates (g, kappa_a, kappa_b, "
+                         "gamma): the x grid sets g")
+    # every parameter key but x, at x = 0: each row rescales g to its own x
+    base = _build_params({**cfg, "x": 0.0})
     from .optimize import STATUS_OK, Scheme, SweepSpec, sweep
     results = sweep(SweepSpec(
         x_grid=tuple(cfg.get("x_grid") or default_x_grid()),
-        eta=cfg.get("eta", 1.0), f_target=cfg["f_target"],
-        scheme=Scheme(cfg["scheme"])))
+        eta=base.eta, f_target=cfg["f_target"],
+        scheme=Scheme(cfg["scheme"]), base=base))
 
     rows = [{"x": r.x, "scheme": r.scheme.value, "eta": r.eta,
              "F_target": r.f_target, "phi_opt": r.phi_opt,

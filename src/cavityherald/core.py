@@ -5,11 +5,8 @@ therefore fixed to 1. The single dimensionless knob controlling the resonant
 response is the cooperativity x = g^2 / (kappa * gamma).
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass, field, replace
 
 
 def _check_n(n_atoms: int) -> int:
@@ -90,8 +87,94 @@ def scattering_loss(x: float, n_atoms: int) -> float:
     return 2.0 * c / (1.0 + c) ** 2
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class FrozenRecordError(AttributeError):
+    """Raised on setting or deleting an attribute of a record."""
+
+
+class Record:
+    """Base of the package's frozen records.
+
+    A record's fields are the names annotated in its class body, in order,
+    and a field with a class attribute takes it as its default. Two class
+    keywords set fields apart: `derived` fields are left out of __init__ and
+    set by the class's `_post_init`, and `hidden` fields are left out of
+    repr(), equality and the hash. __init__ takes the other fields by
+    position or keyword, stores each, and then calls `_post_init()` where the
+    class defines one, to check or derive fields. Records are equal where
+    they are of one class and their compared fields are equal, and a record
+    hashes as the tuple of those fields. `replace` builds a changed copy
+    through __init__, so it runs the checks again. No attribute can be set
+    or deleted. There are no __slots__: cached properties and the `_frozen`
+    builders use the instance __dict__.
+    """
+
+    def __init_subclass__(cls, derived=(), hidden=(), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._compared = tuple(n for n in cls._fields if n not in hidden)
+        # the fields that __init__ takes, and so `replace` copies
+        cls.__match_args__ = tuple(n for n in cls._fields if n not in derived)
+        cls.__init__ = _record_init(cls)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._compared)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with `changes` to its fields, built by __init__."""
+        kwargs = {name: getattr(self, name) for name in self.__match_args__}
+        kwargs.update(changes)
+        return self.__class__(**kwargs)
+
+
+def _record_init(cls):
+    # __init__ written out for each class, as dataclasses writes it, so that
+    # a record builds as fast: one object.__setattr__ per field and no
+    # argument loop. A default is the class attribute of its field.
+    names = cls.__match_args__
+    args = [f"{name}=_cls.{name}" if name in vars(cls) else name
+            for name in names]
+    body = [f"    _set(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "_post_init"):
+        body.append("    self._post_init()")
+    namespace = {"_set": object.__setattr__, "_cls": cls}
+    exec(f"def __init__(self, {', '.join(args)}):\n"
+         + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a record or record class, in order."""
+    return record._fields
+
+
+def asdict(record) -> dict:
+    """A record's fields by name, in order. The dict is flat: a field that
+    holds a record, such as a `SweepSpec`'s base, keeps that record."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+class CavityParams(Record):
     """Static cavity and detection parameters, rates in units of gamma.
 
     Attributes
@@ -123,7 +206,7 @@ class CavityParams:
     g_tilde: float = 0.0
     kappa_tilde: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if not all(map(math.isfinite, (self.g, self.kappa_a, self.kappa_b,
                                        self.delta, self.g_tilde,
                                        self.kappa_tilde))):
@@ -145,8 +228,8 @@ class CavityParams:
 
     # Cached properties work out a value on first use and keep it in the
     # instance __dict__, which equality, hashing and repr do not read;
-    # replace() builds a new instance. A getter that raises keeps nothing,
-    # so a rejected set raises on every read.
+    # replace() builds a new instance from the fields alone. A getter that
+    # raises keeps nothing, so a rejected set raises on every read.
 
     @functools.cached_property
     def _mirror_rates(self) -> tuple[float, float, float]:
@@ -217,11 +300,11 @@ class CavityParams:
                    **kwargs)
 
 
-# A result skips its frozen dataclass __init__, with its one
-# object.__setattr__ per field: `_frozen(cls)` is an empty instance, and the
-# caller fills every field, in declaration order, with one keyword
-# `__dict__.update(...)`. Stores made one key at a time would leave a
-# split-key __dict__, on which field reads are slower.
+# A result skips its record __init__, with its one object.__setattr__ per
+# field: `_frozen(cls)` is an empty instance, and the caller fills every
+# field, in declaration order, with one keyword `__dict__.update(...)`.
+# Stores made one key at a time would leave a split-key __dict__, on which
+# field reads are slower.
 _frozen = object.__new__
 
 
@@ -232,8 +315,7 @@ def _probabilities(r: complex, t: complex) -> tuple[float, float, float]:
     return R, T, 1.0 - R - T
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record, derived=("R", "T", "loss")):
     """Complex scattering amplitudes and probabilities at one probe frequency.
 
     `loss` is the spontaneous-scattering probability 1 - R - T.
@@ -242,11 +324,11 @@ class SpectrumPoint:
     omega: float
     r: complex
     t: complex
-    R: float = field(init=False)
-    T: float = field(init=False)
-    loss: float = field(init=False)
+    R: float
+    T: float
+    loss: float
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         for name, value in zip(("R", "T", "loss"),
                                _probabilities(self.r, self.t)):
             object.__setattr__(self, name, value)
@@ -315,7 +397,7 @@ def with_cooperativity(params: CavityParams, x: float) -> CavityParams:
     """Copy of `params` with the coupling rescaled to hit cooperativity x."""
     if x < 0:
         raise ValueError("cooperativity must be nonnegative")
-    return replace(params, g=math.sqrt(x * params.kappa * params.gamma))
+    return params.replace(g=math.sqrt(x * params.kappa * params.gamma))
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:

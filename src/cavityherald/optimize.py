@@ -22,19 +22,16 @@ has an F of at least f_target - _CONSTRAINT_TOL, else infeasible. So no
 optimizer can return an "ok" row off its floor.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import functools
 import itertools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import protocol
 # the scheme table and the default grid are re-exported from where they live
-from .core import CavityParams, _check_x, _frozen, _linspace, default_x_grid
+from .core import (CavityParams, Record, _check_x, _frozen, _linspace,
+                   default_x_grid, with_cooperativity)
 from .protocol import STATUS_OK, Scheme
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
@@ -45,8 +42,7 @@ _ZERO_STEP = 1 / 256  # share of the bracket a search steps past a zero
 STATUS_INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record, hidden=("n_evals", "budget_capped")):
     """One optimizer answer; `n_max_opt` is None for the Fock schemes.
     `_result` decides `status` for every optimizer: "ok" only where the
     outcome at the answer has F >= f_target - _CONSTRAINT_TOL, else
@@ -66,27 +62,32 @@ class OptimizationResult:
     p_success: float
     fidelity_achieved: float | None
     status: str = STATUS_OK
-    n_evals: int | None = field(default=None, compare=False, repr=False)
-    budget_capped: bool | None = field(default=None, compare=False,
-                                       repr=False)
+    n_evals: int | None = None
+    budget_capped: bool | None = None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid request for figure-style data series."""
+class SweepSpec(Record):
+    """Grid request for figure-style data series. Each row's parameters are
+    `base` at the row's cooperativity (`with_cooperativity`); with no base,
+    the base is `CavityParams.from_cooperativity(0.0, eta=eta)`. A base must
+    have the spec's eta, so that eta has one value."""
 
     x_grid: tuple[float, ...]
     eta: float
     f_target: float
     scheme: Scheme
+    base: CavityParams | None = None
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if len(self.x_grid) == 0:
             raise ValueError("x_grid must be nonempty")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ValueError("x_grid must be strictly increasing")
         for x in self.x_grid:
             _check_x(x)
+        if self.base is not None and self.base.eta != self.eta:
+            raise ValueError(f"the base's eta = {self.base.eta} differs "
+                             f"from the spec's eta = {self.eta}")
 
 
 # coherent-single budgets: 121 log-spaced, 10 per decade, exact endpoints
@@ -352,9 +353,9 @@ def sweep(spec: SweepSpec) -> list[OptimizationResult]:
     never aborts. Rows are independent, so the output does not depend on
     evaluation order.
     """
+    base = spec.base or CavityParams.from_cooperativity(0.0, eta=spec.eta)
     rows = []
     for x in spec.x_grid:
-        params = CavityParams.from_cooperativity(x, eta=spec.eta)
-        row = optimize(params, spec.scheme, spec.f_target)
-        rows.append(dataclasses.replace(row, x=float(x)))
+        row = optimize(with_cooperativity(base, x), spec.scheme, spec.f_target)
+        rows.append(row.replace(x=float(x)))
     return rows

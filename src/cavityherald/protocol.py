@@ -16,23 +16,19 @@ everywhere but in `fock_double` and `false_reflection_fidelity`.
 a command that evaluates one scheme loads no optimizer.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import importlib
 import math
 import sys
-from dataclasses import dataclass
 
-from .core import CavityParams, _frozen
+from .core import CavityParams, Record, _frozen
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class Preparation:
+class Preparation(Record):
     """Initial atom-number populations for preparation angle phi."""
 
     phi: float
@@ -41,8 +37,7 @@ class Preparation:
     p2: float
 
 
-@dataclass(frozen=True)
-class SchemeOutcome:
+class SchemeOutcome(Record):
     """Result of one heralding scheme.
 
     `status` is "undefined" when no click can occur (zero success

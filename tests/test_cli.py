@@ -743,6 +743,59 @@ def test_optimize_writes_file_not_stdout(tmp_path):
     assert out.read_text().startswith("x,scheme,eta,F_target")
 
 
+# (scheme, F_target, x grid, config): a config may hold every parameter key
+# but x, and each row is then the library's sweep row over that base
+_BASE_CONFIGS = {
+    "f": ("fock-double", 0.8, (1.0,), {"f": 0.1}),
+    "ring": ("fock-double", 0.8, (1.0,), {"g_tilde": 1, "kappa_tilde": 1}),
+    "ring-coherent": ("coherent-single", 0.8, (0.3, 1.0, 2.0),
+                      {"g_tilde": 0.5, "kappa_tilde": 2.0, "eta": 0.9}),
+    "eta": ("coherent-double", 0.85, (0.3, 1.2), {"eta": 0.8}),
+}
+
+
+@pytest.mark.parametrize("scheme, f_target, grid, config",
+                         _BASE_CONFIGS.values(), ids=_BASE_CONFIGS)
+def test_optimize_config_takes_every_parameter_key(tmp_path, scheme,
+                                                   f_target, grid, config):
+    from cavityherald.optimize import Scheme, SweepSpec, sweep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = run_cli("optimize", "--scheme", scheme, "--f-target",
+                  str(f_target), *(a for x in grid for a in ("--x", str(x))),
+                  "--config", str(cfg), "--format", "json")
+    assert res.exit_code == 0, res.output
+    base = CavityParams.from_cooperativity(1.0, **config)
+    rows = sweep(SweepSpec(grid, base.eta, f_target, Scheme(scheme), base))
+    assert json.loads(res.output) == [
+        {"x": r.x, "scheme": r.scheme.value, "eta": r.eta,
+         "F_target": r.f_target, "phi_opt": r.phi_opt,
+         "n_max_opt": r.n_max_opt, "P_s": r.p_success,
+         "F_achieved": r.fidelity_achieved, "status": r.status}
+        for r in rows]
+    # the base's parameters reach the rows
+    plain = sweep(SweepSpec(grid, base.eta, f_target, Scheme(scheme)))
+    assert (rows == plain) == (set(config) == {"eta"})
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"g": 1.0, "kappa_a": 0.5, "kappa_b": 0.5, "gamma": 1.0}, "raw rates"),
+    ({"gamma": 1.0}, "raw rates"),
+    ({"x": 1.0}, "unknown config keys: x"),
+    # sets that the schemes do not model, rejected by the library
+    ({"delta": 0.5}, "symmetric mirrors on resonance"),
+    ({"f": 0.1, "scheme": "coherent-single"}, "only fock-double models"),
+], ids=["raw-rates", "gamma", "x", "detuned", "f-coherent"])
+def test_optimize_config_usage_errors(tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "fock-double", **config}))
+    res = run_cli("optimize", "--f-target", "0.8", "--x", "1", "--config",
+                  str(cfg))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert message in res.stderr
+
+
 # --------------------------------------------------------------------- verify
 
 def _env():
@@ -826,14 +879,18 @@ _COLD_IDS = ["response", "spectrum", *_SCHEME_FLAGS, "optimize"]
 @pytest.mark.parametrize("args, loaded", _COLD_COMMANDS, ids=_COLD_IDS)
 def test_cold_command_loads_only_the_modules_it_runs(args, loaded):
     # each in a fresh interpreter; a CSV run without --config loads no json
-    # either, and no command loads click
+    # either, and no command loads click, nor `dataclasses` and the modules
+    # only it would bring (`inspect`, `ast`, `dis`, `tokenize`), nor
+    # `__future__`
     probe = ("import sys\n"
              "from cavityherald.cli import main\n"
              "try:\n"
              "    main(sys.argv[1:])\n"
              "finally:\n"
              "    print(*sorted(m for m in sys.modules if m.split('.')[0]\n"
-             "                  in ('cavityherald', 'json', 'click')),\n"
+             "                  in ('cavityherald', 'json', 'click',\n"
+             "                      'dataclasses', 'inspect', 'ast', 'dis',\n"
+             "                      'tokenize', '__future__')),\n"
              "          file=sys.stderr)\n")
     proc = _run_python(probe, *args)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 """Resonant response closed forms and the general scattering amplitudes."""
 
-import dataclasses
 import math
 import sys
 
@@ -12,9 +11,11 @@ from hypothesis import strategies as st
 from cavityherald.core import (
     X_MAX,
     CavityParams,
+    FrozenRecordError,
     SpectrumPoint,
     _check_n,
     effective_cooperativity_ring,
+    fields,
     reflection_probability,
     scattering_amplitudes,
     scattering_loss,
@@ -205,7 +206,7 @@ def test_spectrum_symmetric_in_omega_without_detuning():
 
 
 def test_spectrum_points_match_the_public_constructor():
-    names = [f.name for f in dataclasses.fields(SpectrumPoint)]
+    names = list(fields(SpectrumPoint))
     params = CavityParams(g=0.9, kappa_a=0.3, kappa_b=0.7, delta=0.4)
     for n in (0, 1, 2):
         for omega in (-3.0, 0.0, 1.5):
@@ -221,10 +222,10 @@ def test_spectrum_points_match_the_public_constructor():
 
 def test_spectrum_points_stay_frozen_and_replaceable():
     point = scattering_amplitudes(CavityParams.from_cooperativity(1.0), 0.0, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         point.R = 0.5
     # R, T and loss are not init fields: replace() recomputes them
-    moved = dataclasses.replace(point, r=0.6 + 0j, t=-0.2 + 0j)
+    moved = point.replace(r=0.6 + 0j, t=-0.2 + 0j)
     assert (moved.R, moved.T, moved.loss) == (0.36, point.T, 0.6)
 
 

@@ -6,7 +6,6 @@ coherent-scheme numbers from adaptive quadrature of the click density and from
 a 10^6-sample Monte Carlo run (see tests/test_oracle.py for the live checks).
 """
 
-import dataclasses
 import math
 import random
 import sys
@@ -17,6 +16,9 @@ from hypothesis import strategies as st
 
 from cavityherald.core import (
     CavityParams,
+    FrozenRecordError,
+    asdict,
+    fields,
     reflection_probability,
     scattering_loss,
     with_cooperativity,
@@ -503,11 +505,11 @@ _SETS = {
 @pytest.mark.parametrize("evaluate", _SCHEMES.values(), ids=_SCHEMES)
 def test_outcomes_match_the_public_constructor(evaluate, params):
     if evaluate is not fock_double:  # the only scheme that models f
-        params = dataclasses.replace(params, f=0.0)
+        params = params.replace(f=0.0)
     out = evaluate(params)
     rebuilt = SchemeOutcome(**vars(out))
     assert type(out) is SchemeOutcome
-    assert list(vars(out)) == [f.name for f in dataclasses.fields(out)]
+    assert list(vars(out)) == list(fields(out))
     assert vars(out) == vars(rebuilt)
     assert out == rebuilt
     assert hash(out) == hash(rebuilt)
@@ -517,9 +519,9 @@ def test_outcomes_match_the_public_constructor(evaluate, params):
 @pytest.mark.parametrize("evaluate", _SCHEMES.values(), ids=_SCHEMES)
 def test_outcomes_stay_frozen_and_replaceable(evaluate):
     out = evaluate(P1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         out.fidelity = 0.5
-    changed = dataclasses.replace(out, fidelity=0.5)
+    changed = out.replace(fidelity=0.5)
     assert changed.fidelity == 0.5
     assert changed.p_success == out.p_success
     assert out.fidelity != 0.5
@@ -556,10 +558,10 @@ def test_copies_of_params_get_fresh_rates():
     assert with_cooperativity(params, 0.25)._rates == _closed_form_rates(
         0.25)
     # a matched ring mode: x_eff = x / (1 + 4 x) = 0.2
-    ring = dataclasses.replace(params, g_tilde=1.0, kappa_tilde=1.0)
+    ring = params.replace(g_tilde=1.0, kappa_tilde=1.0)
     assert ring._rates == _closed_form_rates(0.2)
     with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
-        dataclasses.replace(params, delta=1.0)._rates
+        params.replace(delta=1.0)._rates
     assert params._rates == _closed_form_rates(1.0)
     assert fock_single(params, 0.7) == fock_single(
         CavityParams.from_cooperativity(1.0, eta=0.7), 0.7)
@@ -574,5 +576,5 @@ def test_reading_rates_leaves_params_equality_hash_and_repr():
     assert params == twin
     assert hash(params) == hash(twin)
     assert {twin: "found"}[params] == "found"
-    assert dataclasses.asdict(params) == dataclasses.asdict(twin)
+    assert asdict(params) == asdict(twin)
     assert params != with_cooperativity(params, 0.4)

@@ -1,0 +1,283 @@
+"""The record contract of the package's result and parameter types.
+
+`core.Record` gives every type its construction, comparison, printing,
+copying and freezing. The repr() strings below were captured from the
+dataclass implementation these records replace, so printing is pinned byte
+for byte; `SweepSpec` has since gained its last field, `base`.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from cavityherald.core import (
+    CavityParams,
+    FrozenRecordError,
+    Record,
+    SpectrumPoint,
+    asdict,
+    fields,
+    scattering_amplitudes,
+)
+from cavityherald.optimize import (
+    OptimizationResult,
+    Scheme,
+    SweepSpec,
+    optimize_coherent_double,
+    optimize_fock_double,
+    optimize_fock_single,
+)
+from cavityherald.protocol import (
+    Preparation,
+    SchemeOutcome,
+    coherent_single,
+    fock_single,
+    initial_populations,
+)
+
+P1 = CavityParams.from_cooperativity(1.0)
+_HIDDEN = ("n_evals", "budget_capped")
+
+# (record, its repr() as the dataclass printed it)
+_RECORDS = {
+    "params": (
+        CavityParams.from_cooperativity(0.3, eta=0.9),
+        "CavityParams(g=0.5477225575051661, kappa_a=0.5, kappa_b=0.5, "
+        "gamma=1.0, delta=0.0, eta=0.9, f=0.0, g_tilde=0.0, "
+        "kappa_tilde=0.0)"),
+    "ring-params": (
+        CavityParams(g=1.0, kappa_a=0.5, kappa_b=0.5, g_tilde=0.5,
+                     kappa_tilde=2.0),
+        "CavityParams(g=1.0, kappa_a=0.5, kappa_b=0.5, gamma=1.0, "
+        "delta=0.0, eta=1.0, f=0.0, g_tilde=0.5, kappa_tilde=2.0)"),
+    "spectrum-point": (
+        scattering_amplitudes(P1, 0.3, 2),
+        "SpectrumPoint(omega=0.3, r=(0.8769871309613929+0.0523593237446379j),"
+        " t=(-0.12301286903860711+0.0523593237446379j), "
+        "R=0.7718479266548911, T=0.017873664732105308, "
+        "loss=0.2102784086130036)"),
+    "preparation": (
+        initial_populations(0.6),
+        "Preparation(phi=0.6, p0=0.46400466279568114, "
+        "p1=0.43434842888531144, p2=0.10164690831900755)"),
+    "outcome": (
+        coherent_single(P1, 0.6, 2.0),
+        "SchemeOutcome(p_success=0.39429870958300317, "
+        "fidelity=0.7110049235707077, status='ok', "
+        "p1_conditional=0.7952939145897494, re_coherence=0.313357966275833, "
+        "p_success_err=None, fidelity_err=None, n_success=None)"),
+    "undefined-outcome": (
+        fock_single(CavityParams.from_cooperativity(0.0), 0.6),
+        "SchemeOutcome(p_success=0.0, fidelity=None, status='undefined', "
+        "p1_conditional=None, re_coherence=None, p_success_err=None, "
+        "fidelity_err=None, n_success=None)"),
+    "ok-row": (
+        optimize_fock_single(P1, 0.9),
+        "OptimizationResult(x=1.0, scheme=<Scheme.FOCK_SINGLE: "
+        "'fock-single'>, eta=1.0, f_target=0.9, phi_opt=0.40124714191836086, "
+        "n_max_opt=None, p_success=0.18385521401896007, "
+        "fidelity_achieved=0.8999999999999999, status='ok')"),
+    "infeasible-row": (
+        optimize_fock_double(CavityParams.from_cooperativity(0.0), 0.9),
+        "OptimizationResult(x=0.0, scheme=<Scheme.FOCK_DOUBLE: "
+        "'fock-double'>, eta=1.0, f_target=0.9, phi_opt=None, n_max_opt=None,"
+        " p_success=0.0, fidelity_achieved=None, status='infeasible')"),
+    "capped-row": (
+        optimize_coherent_double(P1, 0.6),
+        "OptimizationResult(x=1.0, scheme=<Scheme.COHERENT_DOUBLE: "
+        "'coherent-double'>, eta=1.0, f_target=0.6, "
+        "phi_opt=0.7853981633974483, n_max_opt=1000.0, p_success=0.5, "
+        "fidelity_achieved=0.7222222222222222, status='ok')"),
+    "sweep-spec": (
+        SweepSpec(x_grid=(0.5, 1.0), eta=0.8, f_target=0.9,
+                  scheme=Scheme.COHERENT_SINGLE),
+        "SweepSpec(x_grid=(0.5, 1.0), eta=0.8, f_target=0.9, "
+        "scheme=<Scheme.COHERENT_SINGLE: 'coherent-single'>, base=None)"),
+}
+_IDS = list(_RECORDS)
+_ONLY = [record for record, _ in _RECORDS.values()]
+
+
+def _compared(record):
+    # the field tuple that equality and the hash compare
+    return tuple(getattr(record, name) for name in fields(record)
+                 if name not in _HIDDEN)
+
+
+def _rebuilt(record):
+    # the same record through the public constructor, by keyword
+    return type(record)(**{name: getattr(record, name)
+                           for name in record.__match_args__})
+
+
+@pytest.mark.parametrize("record, text", _RECORDS.values(), ids=_IDS)
+def test_repr_is_the_dataclass_repr(record, text):
+    assert repr(record) == text
+    assert repr(_rebuilt(record)) == text
+
+
+@pytest.mark.parametrize("record", _ONLY, ids=_IDS)
+def test_equality_and_hash_compare_the_field_tuple(record):
+    twin = _rebuilt(record)
+    assert twin == record and not twin != record
+    assert hash(record) == hash(_compared(record)) == hash(twin)
+    assert {twin: "found"}[record] == "found"
+    # only a record of the same class can be equal
+    assert record != _compared(record)
+    assert record.__eq__(_compared(record)) is NotImplemented
+
+
+def test_records_of_another_class_are_never_equal():
+    class Twin(Record):
+        phi: float
+        p0: float
+        p1: float
+        p2: float
+
+    prep = initial_populations(0.6)
+    twin = Twin(*(getattr(prep, name) for name in fields(prep)))
+    assert repr(twin).endswith(repr(prep)[len("Preparation"):])
+    assert hash(twin) == hash(prep)
+    assert twin != prep and prep != twin
+
+
+@pytest.mark.parametrize("record", _ONLY, ids=_IDS)
+def test_fields_asdict_and_match_args(record):
+    names = fields(record)
+    assert names == fields(type(record))
+    assert list(vars(record))[:len(names)] == list(names)
+    assert asdict(record) == {name: getattr(record, name) for name in names}
+    assert list(asdict(record)) == list(names)
+    # __init__ and `match` take every field but the derived ones, in order
+    assert record.__match_args__ == tuple(
+        name for name in names if name not in ("R", "T", "loss"))
+    positional = type(record)(*(getattr(record, name)
+                                for name in record.__match_args__))
+    assert vars(positional) == vars(_rebuilt(record))
+
+
+@pytest.mark.parametrize("record", _ONLY, ids=_IDS)
+def test_pickle_and_copy_round_trips(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is type(record)
+        assert vars(twin) == vars(record)
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        with pytest.raises(FrozenRecordError):
+            twin.__setattr__(fields(twin)[0], None)
+
+
+@pytest.mark.parametrize("record", _ONLY, ids=_IDS)
+def test_setting_or_deleting_an_attribute_raises(record):
+    name = fields(record)[0]
+    before = vars(record).copy()
+    with pytest.raises(FrozenRecordError, match="cannot assign to field"):
+        setattr(record, name, 0.0)
+    with pytest.raises(FrozenRecordError, match="cannot assign to field"):
+        record.brand_new = 1
+    with pytest.raises(FrozenRecordError, match="cannot delete field"):
+        delattr(record, name)
+    assert vars(record) == before
+    assert issubclass(FrozenRecordError, AttributeError)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.0)
+
+
+@pytest.mark.parametrize("record", _ONLY, ids=_IDS)
+def test_replace_copies_through_the_constructor(record):
+    same = record.replace()
+    assert same is not record and same == record
+    assert vars(same) == vars(_rebuilt(record))
+    # a new first field that the type's checks accept
+    name = record.__match_args__[0]
+    value = {CavityParams: 2.0, SweepSpec: (0.25,)}.get(type(record))
+    changed = record.replace(**{name: value})
+    assert getattr(changed, name) == value and changed != record
+    assert vars(changed) == {**vars(same), name: value}
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1.0)
+
+
+@pytest.mark.parametrize("changes", [
+    {"eta": 2.0}, {"eta": -0.1}, {"f": 1.0}, {"g": -1.0}, {"kappa_a": 0.0},
+    {"gamma": 2.0}, {"delta": float("nan")}, {"g_tilde": 1.0}])
+def test_replace_runs_the_params_checks_again(changes):
+    with pytest.raises(ValueError):
+        P1.replace(**changes)
+
+
+def test_replace_runs_the_sweep_spec_checks_again():
+    spec = SweepSpec((0.5, 1.0), 0.8, 0.9, Scheme.FOCK_SINGLE)
+    for changes in ({"x_grid": ()}, {"x_grid": (1.0, 0.5)},
+                    {"x_grid": (float("inf"),)},
+                    {"base": CavityParams.from_cooperativity(1.0)}):
+        with pytest.raises(ValueError):
+            spec.replace(**changes)
+
+
+def test_replace_recomputes_derived_spectrum_fields():
+    point = scattering_amplitudes(P1, 0.0, 1)
+    moved = point.replace(r=0.6 + 0j)
+    assert (moved.R, moved.T, moved.loss) == (0.36, point.T, 1.0 - 0.36
+                                              - point.T)
+    assert moved == SpectrumPoint(point.omega, 0.6 + 0j, point.t)
+    # derived fields are not constructor arguments
+    with pytest.raises(TypeError):
+        point.replace(R=0.5)
+    with pytest.raises(TypeError):
+        SpectrumPoint(0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("record", [_RECORDS[k][0] for k in (
+    "ok-row", "infeasible-row", "capped-row")])
+def test_hidden_fields_stay_out_of_repr_and_equality(record):
+    assert record.n_evals is not None
+    for name in _HIDDEN:
+        assert name not in repr(record)
+        other = record.replace(**{name: "something else"})
+        assert other == record and hash(other) == hash(record)
+        assert repr(other) == repr(record)
+        assert getattr(other, name) == "something else"
+    assert record.replace(status="x") != record
+
+
+def test_cached_rates_stay_out_of_equality_repr_and_copies():
+    params = CavityParams.from_cooperativity(0.3, eta=0.9)
+    text, key = repr(params), hash(params)
+    params._rates, params._amplitude_terms
+    assert {"_rates", "_mirror_rates", "_amplitude_terms"} <= set(vars(params))
+    assert (repr(params), hash(params)) == (text, key)
+    assert params == CavityParams.from_cooperativity(0.3, eta=0.9)
+    assert list(asdict(params)) == list(fields(params))
+    for copied in (params.replace(), params.replace(eta=0.5)):
+        assert not {"_rates", "_mirror_rates", "_amplitude_terms"} & set(
+            vars(copied))
+        assert list(vars(copied)) == list(fields(copied))
+
+
+def test_positional_and_keyword_construction_agree():
+    by_position = CavityParams(0.5, 0.5, 0.5)
+    by_keyword = CavityParams(g=0.5, kappa_a=0.5, kappa_b=0.5)
+    assert vars(by_position) == vars(by_keyword)
+    assert by_position.gamma == 1.0 and by_position.kappa_tilde == 0.0
+    with pytest.raises(TypeError):
+        CavityParams(0.5, 0.5)
+    with pytest.raises(TypeError):
+        CavityParams(0.5, 0.5, 0.5, g=0.5)
+    out = SchemeOutcome(0.25, 0.75)
+    assert (out.status, out.n_success) == ("ok", None)
+    assert OptimizationResult(1.0, Scheme.FOCK_SINGLE, 1.0, 0.9, None, None,
+                              0.0, None).n_evals is None
+    assert Preparation(0.1, 0.2, 0.3, 0.4).p2 == 0.4
+
+
+def test_every_record_type_derives_from_the_one_base():
+    for record in _ONLY:
+        assert isinstance(record, Record)
+    match P1:
+        case CavityParams(g, kappa_a, kappa_b, eta=eta):
+            assert (g, kappa_a, kappa_b, eta) == (1.0, 0.5, 0.5, 1.0)
+        case _:
+            pytest.fail("CavityParams did not match by position")
