@@ -5,7 +5,6 @@ therefore fixed to 1. The single dimensionless knob controlling the resonant
 response is the cooperativity x = g^2 / (kappa * gamma).
 """
 
-import functools
 import math
 
 
@@ -174,6 +173,26 @@ def asdict(record) -> dict:
     return {name: getattr(record, name) for name in record._fields}
 
 
+class _cached:
+    """A cached property: the getter runs on the first read, and its value
+    is stored under the getter's name with object.__setattr__, as the
+    record __init__ stores a field, so later reads find it in the instance
+    and skip the getter. functools.cached_property stores through
+    `instance.__dict__` instead, which on CPython 3.11 turns the instance's
+    inline attribute values into a dict and slows every later field read
+    several times over."""
+
+    def __init__(self, getter) -> None:
+        self.getter, self.name = getter, getter.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.getter(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 class CavityParams(Record):
     """Static cavity and detection parameters, rates in units of gamma.
 
@@ -231,7 +250,7 @@ class CavityParams(Record):
     # replace() builds a new instance from the fields alone. A getter that
     # raises keeps nothing, so a rejected set raises on every read.
 
-    @functools.cached_property
+    @_cached
     def _mirror_rates(self) -> tuple[float, float, float]:
         # (R1, R2, lambda1) at the effective cooperativity, for the closed
         # forms of `protocol`, which hold for symmetric mirrors on resonance
@@ -244,7 +263,7 @@ class CavityParams(Record):
         return (reflection_probability(x, 1), reflection_probability(x, 2),
                 scattering_loss(x, 1))
 
-    @functools.cached_property
+    @_cached
     def _rates(self) -> tuple[float, float, float]:
         # `_mirror_rates` for every closed form that leaves spurious
         # reflection out, which rejects f > 0 instead of dropping it; only
@@ -254,7 +273,21 @@ class CavityParams(Record):
                              f"fraction f > 0, got f = {self.f}")
         return self._mirror_rates
 
-    @functools.cached_property
+    @_cached
+    def _ratios(self) -> tuple[float, float, float, float]:
+        # (q, rho, rho - 1, a/lambda) at the effective cooperativity, with
+        # the checks of `_mirror_rates`: q = 4x/(1 + 4x) is the square root
+        # of R1; rho = R2/R1 = 4((1 + 4x)/(1 + 8x))^2 lies in [1, 4], and
+        # rho - 1 = (3 + 16x)/(1 + 8x)^2 is written so that it does not
+        # cancel; a/lambda = eta R1/lambda = 2 eta x. Where x is a normal
+        # float so are all four, while R1 and R2 underflow below x ~ 1e-154,
+        # so the closed forms take every ratio from these
+        self._mirror_rates
+        c = 4.0 * effective_cooperativity_ring(self)
+        return (c / (1.0 + c), 4.0 * ((1.0 + c) / (1.0 + 2.0 * c)) ** 2,
+                (3.0 + 4.0 * c) / (1.0 + 2.0 * c) ** 2, 0.5 * self.eta * c)
+
+    @_cached
     def _amplitude_terms(self) -> tuple[float, ...]:
         # the terms of `scattering_amplitudes` that depend on the rates
         # alone: kappa/2, g^2, gamma/2, delta, kappa_a and

@@ -19,13 +19,14 @@ no RNG, so identical inputs give bit-identical results.
 Every optimizer hands the closed form's outcome at its answer to `_result`,
 and `_result` alone decides the row's status: "ok" only where that outcome
 has an F of at least f_target - _CONSTRAINT_TOL, else infeasible. So no
-optimizer can return an "ok" row off its floor.
+optimizer can return an "ok" row off its floor. An outcome is undefined
+only where no click can occur (eta = 0 or x_eff = 0), so a row whose P_s
+rounds to a subnormal or 0 at a tiny cooperativity is "ok" on its floor.
 """
 
 import functools
 import itertools
 import math
-import sys
 from collections.abc import Callable
 
 from . import protocol
@@ -168,16 +169,11 @@ def optimize_fock_single(params: CavityParams,
     P_s grows with p1, so the optimum sits exactly on the constraint:
     tan^2(phi) = 2 (R1/R2) (1 - F) / F and P_s = eta p1 R1 / F. The row
     reports `protocol.fock_single` at that angle, and is infeasible where
-    that outcome is undefined (eta = 0).
-
-    A subnormal R1 (x below about 3.7e-155) keeps too few digits for that
-    inversion; such a row is infeasible, like R1 = 0, with no evaluation.
+    that outcome is undefined (eta = 0). R1/R2 is taken as 1/rho, a normal
+    float at every x, so the angle keeps its digits where R1 underflows.
     """
     _check_target(f_target)
-    r1, r2, _ = params._rates
-    if r1 < sys.float_info.min:
-        return _result(params, Scheme.FOCK_SINGLE, f_target, 0)
-    tan2 = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
+    tan2 = 2.0 / params._ratios[1] * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
     return _result(params, Scheme.FOCK_SINGLE, f_target, 1,
                    protocol.fock_single(params, phi), phi)
@@ -220,37 +216,37 @@ def optimize_coherent_single(params: CavityParams,
       can beat it. The second bound is the tighter one near f_target = 1.
     Every point skipped has P* below the best one evaluated, so the row is
     the one the whole grid gives. The cuts rest on the exact sign of t* and
-    on the bound, so the whole grid is evaluated where the floor's arithmetic
-    leaves normal floats (a (a + lambda) times the grid's first budget
-    underflows, x below about 1e-100 at eta = 1), where 1 - f_target is
+    on the bound, so the whole grid is evaluated where 1 - f_target is
     below 1e-12, so that rounding can decide the sign of t* at any budget,
-    and where the first budget admits no angle.
+    and where the first budget admits no angle. P*, its bounds and its
+    slope are compared over a, as `protocol._coherent_single_floor` gives
+    them, so the cuts and the search work alike where P* itself underflows.
 
     Every grid cell where the slope turns negative is searched to float
     adjacency on the slope's sign (`_search`), with the grid's slopes as the
     values at the cell's ends. The best of these local maxima, the ceiling
     N_MAX_CEILING when P* still rises there, and the best grid point wins.
     The row is infeasible when the outcome there has no F or misses the
-    floor by more than _CONSTRAINT_TOL, which happens only where the
-    floor's arithmetic leaves normal floats.
+    floor by more than _CONSTRAINT_TOL: where no click can occur (eta = 0
+    or x_eff = 0), the search runs on the floor's limit and the closed form
+    is undefined.
     """
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
     # closed form itself
-    r1, r2, lam = params._rates
-    a, b = params.eta * r1, params.eta * r2
+    r1, _, lam = params._rates
+    ratios = params._ratios
     floor = functools.partial(protocol._coherent_single_floor,
-                              a, b, lam, f_target)
-    evaluated = {}  # grid index -> (t*, P*, rise)
+                              params.eta * r1, lam, ratios, f_target)
+    evaluated = {}  # grid index -> (t*, P*/a, rise, A^2/(a B))
 
-    def at(k: int) -> tuple[float, float, float]:
+    def at(k: int) -> tuple[float, float, float, float]:
         if k not in evaluated:
             evaluated[k] = floor(_COARSE_GRID[k])
         return evaluated[k]
 
     low, top = 0, len(_COARSE_GRID)  # the whole grid, unless cut
-    if (a * (a + lam) * _COARSE_GRID[0] >= sys.float_info.min
-            and f_target <= 1.0 - 1e-12 and at(0)[1] > 0.0):
+    if f_target <= 1.0 - 1e-12 and at(0)[1] > 0.0:
         # upper cut: `top` is the first grid point with P* = 0
         while top - low > 1:
             mid = (low + top) // 2
@@ -259,24 +255,19 @@ def optimize_coherent_single(params: CavityParams,
             else:
                 top = mid
         # lower cut: twice the smaller bound on P* leaves room for
-        # rounding; a subnormal best P* keeps too few digits to compare.
-        # (2k + k^2) A^2/B is written A (A/B), which cannot underflow here
+        # rounding. Like P*, both bounds are taken over a: b n / a = rho n
+        # and (2k + k^2) A^2/(a B), from the floor
         k = 2.0 * (1.0 - f_target) / f_target
         k2 = 2.0 * k + k * k
-
-        def cap(nm: float) -> float:
-            click1 = -math.expm1(-a * nm)
-            return min(b * nm, k2 * click1 * (click1 / -math.expm1(-b * nm)))
-
         high = at(low)[1]  # the best P* so far
-        while low > 0 and not (high >= sys.float_info.min
-                               and 2.0 * cap(_COARSE_GRID[low]) < high):
+        while low > 0 and not 2.0 * min(ratios[1] * _COARSE_GRID[low],
+                                        k2 * at(low)[3]) < high:
             low -= 1
             high = max(high, at(low)[1])
     grid = _COARSE_GRID[low:top + 1]
     coarse = [at(k) for k in range(low, low + len(grid))]
     n_evals = len(evaluated)
-    p_star = [ps for _, ps, _ in coarse]
+    p_star = [ps for _, ps, _, _ in coarse]
     best = p_star.index(max(p_star))  # the first of equals
     if p_star[best] <= 0.0:  # no budget admits an angle on the floor
         return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
@@ -291,7 +282,7 @@ def optimize_coherent_single(params: CavityParams,
     # there. P* can have two, a peak and then a plateau approached from
     # below, so all of them compete, with the best grid point. The grid's
     # rises are the ends of each cell's search.
-    rises = [r for _, _, r in coarse]
+    rises = [r for _, _, r, _ in coarse]
     peaks = [_search(rise, grid[k], grid[k + 1], rises[k], rises[k + 1])
              for k in range(len(grid) - 1)
              if rises[k] >= 0.0 and not rises[k + 1] >= 0.0]
@@ -300,7 +291,7 @@ def optimize_coherent_single(params: CavityParams,
     if rises[-1] >= 0.0:
         found.append((grid[-1], coarse[-1]))
     found.append((grid[best], coarse[best]))
-    nm, (t, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
+    nm, (t, _, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
     phi = math.atan(math.sqrt(t))
     return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals + 1,
                    protocol.coherent_single(params, phi, nm), phi, nm)
@@ -319,16 +310,16 @@ def optimize_coherent_double(params: CavityParams,
     on its 1/2 plateau.
     """
     _check_target(f_target)
-    r1, _, lam = params._rates
-    a = params.eta * r1
+    lam, q = params._rates[2], params._ratios[0]
     n_evals = 0
 
     def margin(nm: float) -> float:
-        # F - f_target, whose sign is exact, or -inf where F is undefined
+        # F - f_target, whose sign is exact; a n as `coherent_double` forms it
         nonlocal n_evals
         n_evals += 1
-        re_xi = protocol._double_click_terms(a, lam, nm)[1]
-        return -math.inf if re_xi is None else 0.5 + re_xi - f_target
+        an = params.eta * nm * q * q
+        return (0.5 + protocol._double_click_terms(an, an + lam * nm)[1]
+                - f_target)
 
     lo, hi = 1e-9, N_MAX_CEILING
     v_lo = margin(lo)

@@ -12,17 +12,24 @@ scattering loss. Asymmetric mirrors and a detuned cavity are not modelled
 and raise ValueError, and so does a spurious-reflection fraction f > 0
 everywhere but in `fock_double` and `false_reflection_fidelity`.
 
+Each closed form is one expression in ratios that are normal floats for
+every accepted input: rho = R2/R1 and a/lambda, taken from x (the set's
+`_ratios`), the scaled click probability E1(z) = (1 - e^{-z})/z and the
+scaled Erlang-2 CDF. So F keeps its digits where R1 = 16 x^2 or eta R1
+underflows, and only P_s scales with x and may round to a subnormal or 0.
+An outcome is "undefined" only where no click can occur in exact
+arithmetic: eta = 0, x_eff = 0 (where lambda = 0), or no population that
+can click (phi = 0).
+
 `Scheme`, the scheme table, lives here beside the closed forms it names, so
 a command that evaluates one scheme loads no optimizer.
 """
 
 import enum
-import functools
 import importlib
 import math
-import sys
 
-from .core import CavityParams, Record, _frozen
+from .core import CavityParams, Record, _cached, _frozen
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -40,9 +47,10 @@ class Preparation(Record):
 class SchemeOutcome(Record):
     """Result of one heralding scheme.
 
-    `status` is "undefined" when no click can occur (zero success
-    probability denominator); `fidelity` is then None rather than NaN so
-    sweeps can skip the point. Diagnostics, when present, satisfy
+    `status` is "undefined" only where no click can occur in exact
+    arithmetic; `fidelity` is then None rather than NaN so sweeps can skip
+    the point. Where a click can occur but P_s rounds to 0, the outcome is
+    "ok" with P_s = 0. Diagnostics, when present, satisfy
     fidelity = p1_conditional / 2 + re_coherence exactly. Monte Carlo
     estimates additionally carry standard errors and the success count.
     """
@@ -72,13 +80,17 @@ def _outcome(p_success: float, fidelity: float, p1_conditional: float,
 _UNDEFINED = SchemeOutcome(0.0, None, STATUS_UNDEFINED)
 
 
-def _populations(phi: float) -> tuple[float, float, float]:
-    # (p0, p1, p2) of `initial_populations`
+def _populations(phi: float) -> tuple[float, float, float, float]:
+    # (t, p0, p1, p2): t = tan^2(phi) = 2 p2/p1 is the one number through
+    # which the populations enter a ratio, and p0 = 1/(1 + t)^2,
+    # p1 = 2t/(1 + t)^2 and p2 = t^2/(1 + t)^2 are taken from it
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-    s2 = math.sin(phi) ** 2
-    c2 = math.cos(phi) ** 2
-    return c2 * c2, 2.0 * s2 * c2, s2 * s2
+    t = math.tan(phi)
+    t *= t
+    v = 1.0 / (1.0 + t)
+    u = t * v
+    return t, v * v, 2.0 * u * v, u * u
 
 
 def _check_n_max(n_max: float) -> None:
@@ -91,7 +103,7 @@ def initial_populations(phi: float) -> Preparation:
 
     p0 = cos^4(phi), p1 = 2 sin^2(phi) cos^2(phi), p2 = sin^4(phi).
     """
-    return Preparation(phi, *_populations(phi))
+    return Preparation(phi, *_populations(phi)[1:])
 
 
 def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
@@ -100,21 +112,19 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     P_s = eta (p1 R1 + p2 R2). Conditioned on the click there has been no
     spontaneous emission, so Re xi = p1c / 2 and
 
-        F = p1 R1 / (p1 R1 + p2 R2) = 1 / (1 + tan^2(phi) R2 / (2 R1)),
+        F = p1 R1 / (p1 R1 + p2 R2) = 1 / (1 + tan^2(phi) rho / 2),
 
-    independent of eta; undefined where no click can occur (eta = 0 or
-    p1 R1 + p2 R2 = 0). F is computed in the second, scale-free form: the
-    first rounds to 1 where p2 R2 underflows (x ~ 1e-154 at F = 1 - 1e-9).
-    F = 0 where R1 = 0 < R2 (x ~ 2e-163 to 4e-163).
+    with rho = R2/R1, independent of eta. F takes the second form, whose
+    terms are normal floats for every x > 0, so only P_s scales with x and
+    may round to a subnormal or 0. Undefined only where no click can occur:
+    eta = 0, x_eff = 0 or phi = 0.
     """
-    _, p1, p2 = _populations(phi)
-    r1, r2, _ = params._rates
-    denom = p1 * r1 + p2 * r2
-    if params.eta == 0.0 or denom == 0.0:
+    t, _, p1, p2 = _populations(phi)
+    r1, r2, lam = params._rates
+    if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
-    fid = (1.0 / (1.0 + math.tan(phi) ** 2 * r2 / (2.0 * r1)) if r1 > 0.0
-           else 0.0)
-    return _outcome(params.eta * denom, fid, fid, fid / 2.0)
+    fid = 1.0 / (1.0 + 0.5 * t * params._ratios[1])
+    return _outcome(params.eta * (p1 * r1 + p2 * r2), fid, fid, fid / 2.0)
 
 
 def fock_double(params: CavityParams) -> SchemeOutcome:
@@ -125,10 +135,10 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     P_s = eta^2 R1^2 / 2 and the heralded state is pure: F = 1 for an ideal
     mirror. F is `false_reflection_fidelity` at every spurious-reflection
     fraction params.f, 1 at f = 0, while P_s keeps its ideal-model form. F
-    is undefined where no click can occur: eta = 0, or R1 = 0 at f = 0.
+    is undefined where no click can occur: eta = 0, or x_eff = 0 at f = 0.
     """
-    r1, _, _ = params._mirror_rates
-    if params.eta == 0.0 or (r1 == 0.0 and params.f == 0.0):
+    r1, _, lam = params._mirror_rates
+    if params.eta == 0.0 or (lam == 0.0 and params.f == 0.0):
         return _UNDEFINED
     fid = false_reflection_fidelity(params, params.f)
     return _outcome(0.5 * (params.eta * r1) ** 2, fid, 1.0, fid - 0.5)
@@ -138,37 +148,24 @@ def false_reflection_fidelity(params: CavityParams, f: float) -> float:
     """Double-detection Fock fidelity when a fraction f of photons reflects
     off the mirror surface without entering the cavity.
 
-    F = (R1 (1-f) + f)^2 / ((R1 (1-f) + f)^2 + f (R2 (1-f) + f)); the
-    spurious channel lets the two-atom sector double-click as well. Where
-    either term of the denominator leaves the normal range, which takes f
-    below about 1e-154, F takes the scale-free form
-    1 / (1 + (f/c1) (c2/c1)) with c_N = R_N (1-f) + f >= f, so neither
-    ratio overflows. F = 1 exactly at f = 0. ValueError where no click can
-    occur (R1 = 0 at f = 0).
+    F = c1^2 / (c1^2 + f c2) with c_N = R_N (1-f) + f; the spurious channel
+    lets the two-atom sector double-click as well. It is taken as
+    F = 1 / (1 + w c2/c1) with w = f/c1 and c2/c1 = 1 + (rho - 1)(1 - w),
+    rho = R2/R1, and w is formed over s = q + f, with q = sqrt(R1):
+    w = (f/s) / (f/s + (q/s) q (1-f)). Each ratio lies in [0, 1], so none
+    overflows, and a term that underflows is one that cannot move F. F = 1
+    exactly at f = 0. ValueError where no click can occur (x_eff = 0 at
+    f = 0).
     """
     if not 0.0 <= f < 1.0:
         raise ValueError("f must lie in [0, 1)")
-    r1, r2, _ = params._mirror_rates
-    c1 = r1 * (1.0 - f) + f
-    if c1 == 0.0:
-        raise ValueError("no click can occur: R1 = 0 at f = 0")
-    c2 = r2 * (1.0 - f) + f
-    good, bad = c1 ** 2, f * c2
-    if good < sys.float_info.min or 0.0 < bad < sys.float_info.min:
-        return 1.0 / (1.0 + (f / c1) * (c2 / c1))
-    return good / (good + bad)
-
-
-def _click_sectors(params: CavityParams, phi: float,
-                   n: float) -> tuple[float, float]:
-    # (p1 R1 e^{-eta R1 n}, p2 R2 e^{-eta R2 n}): the one- and two-atom
-    # sectors' first-click densities at mean photon number n, over eta
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"n must be nonnegative and finite, got {n}")
-    _, p1, p2 = _populations(phi)
-    r1, r2, _ = params._rates
-    return (p1 * r1 * math.exp(-params.eta * r1 * n),
-            p2 * r2 * math.exp(-params.eta * r2 * n))
+    q, _, rho_1, _ = params._ratios
+    s = q + f
+    if s == 0.0:
+        raise ValueError("no click can occur: x = 0 at f = 0")
+    fs = f / s
+    w = fs / (fs + q / s * q * (1.0 - f))
+    return 1.0 / (1.0 + w * (1.0 + rho_1 * (1.0 - w)))
 
 
 def coherent_conditional_population(params: CavityParams, phi: float,
@@ -176,15 +173,23 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     """Single-excitation-sector population conditioned on a first click at
     mean photon number n.
 
-    p1c(n) = p1 R1 e^{-eta R1 n} / (p1 R1 e^{-eta R1 n} + p2 R2 e^{-eta R2 n});
-    None when the denominator vanishes. At n = 0 this is the Fock-single
-    fidelity ratio; for n -> infinity it tends to 1 because R1 < R2 makes the
+    p1c(n) = p1 R1 e^{-eta R1 n} / (p1 R1 e^{-eta R1 n} + p2 R2 e^{-eta R2 n})
+           = 1 / (1 + (tan^2(phi) / 2) rho e^{-(rho - 1) eta R1 n}),
+
+    taken in the second form, with rho = R2/R1; None where no click can
+    occur (x_eff = 0 or phi = 0). At n = 0 this is the Fock-single fidelity
+    ratio; for n -> infinity it tends to 1 because R1 < R2 makes the
     one-atom exponential the slower one.
     """
-    a, b = _click_sectors(params, phi, n)
-    if a + b == 0.0:
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
+    t = _populations(phi)[0]
+    _, _, lam = params._rates
+    q, rho, rho_1, _ = params._ratios
+    if lam == 0.0 or phi == 0.0:
         return None
-    return a / (a + b)
+    an = params.eta * n * q * q
+    return 1.0 / (1.0 + 0.5 * t * rho * math.exp(-rho_1 * an))
 
 
 def coherent_conditional_fidelity(params: CavityParams, phi: float,
@@ -207,7 +212,12 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     dP/dn = eta p1 R1 e^{-eta R1 n} + eta p2 R2 e^{-eta R2 n}; integrates to
     p1 + p2 over [0, infinity) at eta = 1.
     """
-    return params.eta * sum(_click_sectors(params, phi, n))
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
+    _, _, p1, p2 = _populations(phi)
+    r1, r2, _ = params._rates
+    return params.eta * (p1 * r1 * math.exp(-params.eta * r1 * n)
+                         + p2 * r2 * math.exp(-params.eta * r2 * n))
 
 
 def coherent_single(params: CavityParams, phi: float,
@@ -221,77 +231,83 @@ def coherent_single(params: CavityParams, phi: float,
                  + a/(a + lambda) (1 - e^{-(a + lambda) n_max}) ] / (2 P_s),
 
     which equals the quadrature of F_c(n) dP/dn over the window exactly.
-    Diagnostics report the click-averaged p1c and coherence term. Where
-    p1 (1 - e^{-a n_max}) is subnormal (eta near 1e-300 with a small phi),
-    P_s keeps few digits, so F takes a scale-free form instead: with A, B
-    and C the bracketed terms of P_s and F, p1c = 1 / (1 + (p2/p1) B/A)
-    and F = p1c (1 + C/A) / 2.
+    Diagnostics report the click-averaged p1c and coherence term.
+
+    With A, B and C the bracketed terms of P_s and F, t = tan^2(phi),
+    rho = R2/R1, k = a/lambda = 2 eta x, n = n_max and the scaled click
+    probability E1(z) = (1 - e^{-z})/z, 1 at z = 0, which falls from 1 to
+    1/z, F is taken from ratios whose terms are normal floats for every
+    accepted input:
+
+        B/A = 1 + e^{-a n} (rho - 1) E1((rho - 1) a n) / E1(a n),
+        C/A = (k + e^{-a n} E1(lambda n) / E1(a n)) / (k + 1),
+        p1c = 1 / (1 + (t/2) B/A),   coherence = p1c (C/A) / 2.
+
+    Each is exact where the clicks saturate (e^{-a n} rounds to 0) and
+    where a n underflows (E1 = 1). a n = eta n_max R1 is multiplied from
+    n_max down, so that no factor underflows before the product does. So
+    only P_s scales with x, and it may round to a subnormal or 0. Undefined
+    only where no click can occur: eta = 0, x_eff = 0 or phi = 0.
     """
     _check_n_max(n_max)
-    _, p1, p2 = _populations(phi)
-    r1, r2, lam = params._rates
-    a, b = params.eta * r1, params.eta * r2
-    click1 = -math.expm1(-a * n_max)
-    click2 = -math.expm1(-b * n_max)
-    ps1 = p1 * click1
-    ps = ps1 + p2 * click2
-    if ps == 0.0:
+    t, _, p1, p2 = _populations(phi)
+    lam = params._rates[2]
+    q, _, rho_1, k = params._ratios
+    if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
-    # ps > 0 means x > 0, so lam > 0
-    decay = -math.expm1(-(a + lam) * n_max)
-    if ps1 < sys.float_info.min and click1 > 0.0:
-        # p1 A is subnormal, and so may P_s be: take the scale-free
-        # p1c = 1 / (1 + (p2/p1) B/A) and coherence (C/A) p1c / 2, with C
-        # formed as a/(a + lam) times its decay so that it keeps its digits.
-        # Where A = a n_max is itself subnormal, B/A and C/A are ratios of
-        # subnormals; then B = b n_max too (b <= 4a), so B/A = b/a, taken as
-        # R2/R1 in case eta made a subnormal, and C/A = decay/((a + lam) n_max)
-        if click1 < sys.float_info.min:
-            b_over_a = r2 / r1
-            c_over_a = decay / ((a + lam) * n_max)
-        else:
-            b_over_a = click2 / click1
-            c_over_a = a / (a + lam) * decay / click1
-        p1c_avg = 1.0 / (1.0 + p2 / p1 * b_over_a)
-        coh = c_over_a * p1c_avg / 2.0
-    else:
-        p1c_avg = ps1 / ps
-        coh = p1 * a / (a + lam) * decay / (2.0 * ps)
-    return _outcome(ps, p1c_avg / 2.0 + coh, p1c_avg, coh)
+    an = params.eta * n_max * q * q
+    bn, ln = rho_1 * an, lam * n_max  # (b - a) n and lambda n
+    click1, gap = -math.expm1(-an), -math.expm1(-bn)  # B = A + e^{-a n} gap
+    inv = an / click1 if an else 1.0  # 1 / E1(a n)
+    e = 1.0 - click1  # e^{-a n}, as accurately as B/A and C/A need it
+    b_a = 1.0 + e * rho_1 * (gap / bn if bn else 1.0) * inv
+    c_a = (k + e * (-math.expm1(-ln) / ln if ln else 1.0) * inv) / (k + 1.0)
+    p1c = 1.0 / (1.0 + 0.5 * t * b_a)
+    coh = p1c * c_a / 2.0
+    return _outcome(p1 * click1 + p2 * (click1 + e * gap), p1c / 2.0 + coh,
+                    p1c, coh)
 
 
-def _coherent_single_floor(a: float, b: float, lam: float, f_target: float,
-                           n_max: float) -> tuple[float, float, float]:
-    # (t*, P*, rise) of `coherent_single` on the floor F = f_target, with
-    # t = tan^2(phi), click rates a = eta R1 <= b = eta R2, unvalidated; the
-    # rise is dP*/dn_max where P* > 0, else -inf, so it is >= 0 exactly where
-    # P* rises.
-    # With A = 1 - e^{-a n} (click1), B = 1 - e^{-b n} (click2) and
-    # C = a (1 - e^{-(a + lam) n}) / (a + lam) (coh), the populations enter
-    # only through p2/p1 = t/2: F = (A + C) / (2A + tB) falls in t while
-    # P_s = (2tA + t^2 B) / (1 + t)^2 rises in t (its t-derivative is
-    # 2 (A + t (B - A)) / (1 + t)^3 and B >= A), so the best angle at budget
-    # n sits on the floor, t* = ((A + C)/f_target - 2A) / B. P* is 0 where
-    # no angle meets the floor (t* <= 0).
-    click1 = -math.expm1(-a * n_max)
-    click2 = -math.expm1(-b * n_max)
-    if click2 == 0.0:
-        return 0.0, 0.0, -math.inf
-    # b > 0 means x > 0, so lam > 0
-    coh = a * -math.expm1(-(a + lam) * n_max) / (a + lam)
-    t = ((click1 + coh) / f_target - 2.0 * click1) / click2
+def _coherent_single_floor(
+        a: float, lam: float, ratios: tuple[float, float, float, float],
+        f_target: float, n_max: float) -> tuple[float, float, float, float]:
+    # (t*, P*/a, rise, A^2/(a B)) of `coherent_single` on the floor
+    # F = f_target, with t = tan^2(phi), click rate a = eta R1, lam and the
+    # set's `_ratios`, unvalidated; P* is P_s on the floor, the rise is
+    # (dP*/dn_max)/a where P* > 0, else -inf, so it is >= 0 exactly where
+    # P* rises, and A^2/(a B) is inf where P* = 0. All are taken over a, so
+    # they are normal floats at every a >= 0, with their limit at a = 0,
+    # and, like B/A and C/A, they are exact where the clicks saturate, so
+    # P* is flat there to the last bit.
+    # With A, B and C as in `coherent_single`, the populations enter only
+    # through p2/p1 = t/2: F = (1 + C/A) / (2 + t B/A) falls in t while
+    # P_s = A t (2 + t B/A) / (1 + t)^2 rises in t (its t-derivative is
+    # 2A (1 + t (B/A - 1)) / (1 + t)^3 and B >= A), so the best angle at
+    # budget n sits on the floor, t* = ((1 + C/A)/f_target - 2) / (B/A). P*
+    # is 0 where no angle meets the floor (t* <= 0).
+    _, rho, rho_1, k = ratios
+    an = a * n_max
+    bn, ln = rho_1 * an, lam * n_max  # (b - a) n and lambda n
+    click1, gap, decay = -math.expm1(-an), -math.expm1(-bn), -math.expm1(-ln)
+    inv = an / click1 if an else 1.0  # 1 / E1(a n)
+    d1 = math.exp(-an)
+    # B/A - 1 and C/A as in `coherent_single`
+    extra = d1 * rho_1 * (gap / bn if bn else 1.0) * inv
+    c_a = (k + d1 * (decay / ln if ln else 1.0) * inv) / (k + 1.0)
+    b_a = 1.0 + extra
+    t = ((1.0 + c_a) / f_target - 2.0) / b_a
     if t <= 0.0:
-        return t, 0.0, -math.inf
-    # d/dn of A, B and C
-    d1 = a * math.exp(-a * n_max)
-    d2 = b * math.exp(-b * n_max)
-    dcoh = a * math.exp(-(a + lam) * n_max)
-    dt = ((d1 + dcoh) / f_target - 2.0 * d1 - t * d2) / click2
+        return t, 0.0, -math.inf, math.inf
+    # d/dn of A, B and C over a are e^{-a n} = d1, rho e^{-b n} = d2 and
+    # e^{-(a + lam) n} = d1 (1 - decay); dt is dt/dn times A/a, with
+    # (d/dn (A + C)) / f_target - 2 d/dn A written so that it does not cancel
+    d2 = rho * d1 * (1.0 - gap)
+    dt = (d1 * (2.0 * (1.0 - f_target) - decay) / f_target - t * d2) / b_a
     s = 1.0 + t
-    ps = t * (2.0 * click1 + t * click2) / (s * s)
-    slope = (2.0 * (click1 + t * (click2 - click1)) / (s * s * s) * dt
-             + t * (2.0 * d1 + t * d2) / (s * s))
-    return t, ps, slope if ps > 0.0 else -math.inf
+    rise = (2.0 * (1.0 + t * extra) / (s * s * s) * dt
+            + t * (2.0 * d1 + t * d2) / (s * s))
+    pa = click1 / a if an else n_max  # A/a, whose limit at a n = 0 is n_max
+    return t, pa * t * (2.0 + t * b_a) / (s * s), rise, pa / b_a
 
 
 # (-1)^k (k - 1) / k! for k = 2 to 17: below z = 1/2 the terms past k = 17
@@ -308,9 +324,7 @@ def _erlang2_cdf(z: float) -> float:
     at z = 1e-3, and it returns exactly 0 at z ~ 1e-13 in float64), so
     arguments below 1/2 take the series of `_erlang2_scaled` times z^2.
     """
-    if z < 0.5:
-        return _erlang2_scaled(z) * z * z
-    return -math.expm1(-z) - z * math.exp(-z)
+    return _erlang2_terms(z)[0]
 
 
 def _erlang2_scaled(z: float) -> float:
@@ -328,24 +342,28 @@ def _erlang2_scaled(z: float) -> float:
     return _erlang2_cdf(z) / z / z
 
 
-def _double_click_terms(a: float, lam: float,
-                        n_max: float) -> tuple[float, float | None]:
-    # (P_s, Re xi = F - 1/2, or None when P_s = 0) of `coherent_double` at
-    # click rate a = eta R1, unvalidated: Re xi = coh / (4 P_s), with the
-    # Erlang-2 coherence integral coh = a^2 E2((a + lam) n) / (a + lam)^2
-    ps = 0.5 * _erlang2_cdf(a * n_max)
-    if ps == 0.0:
-        return 0.0, None
-    num = a * a * _erlang2_cdf((a + lam) * n_max)
-    if num < sys.float_info.min:
-        # a^2 E2 left the normal range (x below about 1e-40), so take
-        # Re xi as S((a + lam) n) / (2 S(a n)), which cannot underflow
-        re_xi = (_erlang2_scaled((a + lam) * n_max)
-                 / (2.0 * _erlang2_scaled(a * n_max)))
-    else:
-        re_xi = num / (a + lam) ** 2 / (4.0 * ps)
+def _erlang2_terms(z: float) -> tuple[float, float]:
+    """(E2(z), W(z)) for z >= 0: the Erlang-2 CDF of `_erlang2_cdf`, and
+    W(z) = S(z) (1 + z)^2 = E2(z) ((1 + z)/z)^2 with S = `_erlang2_scaled`.
+    W rises from 1/2 at z = 0 toward 1, so it is a normal float at every
+    z, where E2 underflows below z ~ 1e-154 and S above z ~ 1e154."""
+    if z < 0.5:
+        s, u = _erlang2_scaled(z), 1.0 + z
+        return s * z * z, s * (u * u)
+    e2, v = -math.expm1(-z) - z * math.exp(-z), (1.0 + z) / z
+    return e2, e2 * (v * v)
+
+
+def _double_click_terms(an: float, bn: float) -> tuple[float, float]:
+    # (P_s, Re xi = F - 1/2) of `coherent_double` at a n and b n =
+    # (a + lam) n, unvalidated: P_s = E2(a n) / 2, and Re xi =
+    # S(b n) / (2 S(a n)), taken as W(b n) / (2 W(a n)) times
+    # ((1 + a n)/(1 + b n))^2, whose terms keep their digits at every budget
+    e2, w = _erlang2_terms(an)
+    r = (1.0 + an) / (1.0 + bn)
+    re_xi = _erlang2_terms(bn)[1] / (2.0 * w) * r * r
     # S falls, so Re xi <= 1/2; as F -> 1 rounding can pass that by an ulp
-    return ps, min(re_xi, 0.5)
+    return 0.5 * e2, min(re_xi, 0.5)
 
 
 def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
@@ -362,16 +380,23 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
 
         F = 1/2 + (1/2) E[e^{-lambda (n1 + n2)} | n1 + n2 <= n_max]
           = 1/2 + a^2 (1 - (1 + (a+lambda) n_max) e^{-(a+lambda) n_max})
-                  / (4 (a + lambda)^2 P_s).
+                  / (4 (a + lambda)^2 P_s),
+
+    with F taken in the scale-free form of `_double_click_terms` and
+    a n = eta n_max R1 multiplied from n_max down, so that no factor
+    underflows before the product does. So only P_s scales with x, and it
+    may round to a subnormal or 0. Undefined only where no click can occur:
+    eta = 0 or x_eff = 0.
 
     See `coherent_double_fidelity_uncorrected` for the variant form that
     drops the conditioning factor of 2 and can exceed 1.
     """
     _check_n_max(n_max)
-    r1, _, lam = params._rates
-    ps, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
-    if re_xi is None:
+    lam, q = params._rates[2], params._ratios[0]
+    if params.eta == 0.0 or lam == 0.0:
         return _UNDEFINED
+    an = params.eta * n_max * q * q
+    ps, re_xi = _double_click_terms(an, an + lam * n_max)
     fid = 0.5 + re_xi
     return _outcome(ps, fid, 1.0, fid - 0.5)
 
@@ -383,12 +408,10 @@ def coherent_double_fidelity_uncorrected(params: CavityParams,
 
     Kept for comparison only: it exceeds 1 for good cavities (1.194 at
     x = 1, eta = 1, n_max = 2), which the Monte Carlo oracle rules out.
-    None when P_s = 0, like the fidelity of `coherent_double`.
+    None where no click can occur, like the fidelity of `coherent_double`.
     """
-    _check_n_max(n_max)
-    r1, _, lam = params._rates
-    _, re_xi = _double_click_terms(params.eta * r1, lam, n_max)
-    return None if re_xi is None else 0.5 + 2.0 * re_xi
+    out = coherent_double(params, n_max)
+    return None if out.fidelity is None else 0.5 + 2.0 * out.re_coherence
 
 
 class Scheme(str, enum.Enum):
@@ -410,7 +433,7 @@ class Scheme(str, enum.Enum):
     COHERENT_SINGLE = ("coherent-single", coherent_single, ("phi", "n_max"))
     COHERENT_DOUBLE = ("coherent-double", coherent_double, ("n_max",))
 
-    @functools.cached_property
+    @_cached
     def optimizer(self):
         # optimize_fock_single for FOCK_SINGLE, and so on; kept on the
         # member after the first read

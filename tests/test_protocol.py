@@ -123,14 +123,17 @@ def test_fock_single_fidelity_survives_an_underflowing_two_atom_term():
     assert abs(out.fidelity - f_target) <= 4 * math.ulp(f_target)
 
 
-def test_fock_single_fidelity_is_zero_where_only_two_atoms_reflect():
-    # R1 = 16 x^2 rounds to 0 here while R2 = 64 x^2 does not
+def test_fock_single_fidelity_keeps_its_digits_where_only_two_atoms_reflect():
+    # R1 = 16 x^2 rounds to 0 here while R2 = 64 x^2 does not; F was 0.
+    # F = 1 / (1 + tan^2(phi) rho / 2) takes rho = R2/R1 from x; 60-digit
+    # mpmath value
     params = CavityParams.from_cooperativity(3e-163)
     r1, r2, _ = params._rates
     assert r1 == 0.0 < r2
     out = fock_single(params, 1.2)
     assert out.status == STATUS_OK
-    assert out.fidelity == 0.0
+    exact = 0.07026454916075765744804619
+    assert abs(out.fidelity - exact) <= 2.3e-16 * exact
 
 
 # ---------------------------------------------------------------- fock double

@@ -3,7 +3,9 @@
 `core.Record` gives every type its construction, comparison, printing,
 copying and freezing. The repr() strings below were captured from the
 dataclass implementation these records replace, so printing is pinned byte
-for byte; `SweepSpec` has since gained its last field, `base`.
+for byte; `SweepSpec` has since gained its last field, `base`, and the
+ratio forms of `protocol` have since moved the last digit of a few of the
+numbers that the outcome and row entries hold.
 """
 
 import copy
@@ -16,6 +18,7 @@ from cavityherald.core import (
     FrozenRecordError,
     Record,
     SpectrumPoint,
+    _cached,
     asdict,
     fields,
     scattering_amplitudes,
@@ -65,7 +68,7 @@ _RECORDS = {
         coherent_single(P1, 0.6, 2.0),
         "SchemeOutcome(p_success=0.39429870958300317, "
         "fidelity=0.7110049235707077, status='ok', "
-        "p1_conditional=0.7952939145897494, re_coherence=0.313357966275833, "
+        "p1_conditional=0.7952939145897493, re_coherence=0.31335796627583296, "
         "p_success_err=None, fidelity_err=None, n_success=None)"),
     "undefined-outcome": (
         fock_single(CavityParams.from_cooperativity(0.0), 0.6),
@@ -75,8 +78,8 @@ _RECORDS = {
     "ok-row": (
         optimize_fock_single(P1, 0.9),
         "OptimizationResult(x=1.0, scheme=<Scheme.FOCK_SINGLE: "
-        "'fock-single'>, eta=1.0, f_target=0.9, phi_opt=0.40124714191836086, "
-        "n_max_opt=None, p_success=0.18385521401896007, "
+        "'fock-single'>, eta=1.0, f_target=0.9, phi_opt=0.4012471419183608, "
+        "n_max_opt=None, p_success=0.18385521401896004, "
         "fidelity_achieved=0.8999999999999999, status='ok')"),
     "infeasible-row": (
         optimize_fock_double(CavityParams.from_cooperativity(0.0), 0.9),
@@ -88,7 +91,7 @@ _RECORDS = {
         "OptimizationResult(x=1.0, scheme=<Scheme.COHERENT_DOUBLE: "
         "'coherent-double'>, eta=1.0, f_target=0.6, "
         "phi_opt=0.7853981633974483, n_max_opt=1000.0, p_success=0.5, "
-        "fidelity_achieved=0.7222222222222222, status='ok')"),
+        "fidelity_achieved=0.7222222222222223, status='ok')"),
     "sweep-spec": (
         SweepSpec(x_grid=(0.5, 1.0), eta=0.8, f_target=0.9,
                   scheme=Scheme.COHERENT_SINGLE),
@@ -255,6 +258,59 @@ def test_cached_rates_stay_out_of_equality_repr_and_copies():
         assert not {"_rates", "_mirror_rates", "_amplitude_terms"} & set(
             vars(copied))
         assert list(vars(copied)) == list(fields(copied))
+
+
+class _Counted(Record):
+    # a record with one cached property that counts its getter's runs
+    x: float
+    runs = []
+
+    @_cached
+    def _twice(self) -> float:
+        self.runs.append(self.x)
+        if self.x < 0.0:
+            raise ValueError("negative")
+        return 2.0 * self.x
+
+
+def test_cached_property_computes_once_per_instance():
+    _Counted.runs.clear()
+    first, second = _Counted(1.5), _Counted(1.5)
+    assert (first._twice, first._twice, first._twice) == (3.0, 3.0, 3.0)
+    assert _Counted.runs == [1.5]
+    assert vars(first) == {"x": 1.5, "_twice": 3.0}
+    assert second._twice == 3.0 and _Counted.runs == [1.5, 1.5]
+    # the cache belongs to the instance, not the class or a copy
+    assert "_twice" not in vars(first.replace())
+    assert isinstance(_Counted._twice, _cached)
+
+
+def test_cached_property_whose_getter_raises_raises_on_every_read():
+    _Counted.runs.clear()
+    bad = _Counted(-1.0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative"):
+            bad._twice
+    assert _Counted.runs == [-1.0] * 3
+    assert vars(bad) == {"x": -1.0}
+
+
+def test_cached_rates_leave_repr_equality_hash_replace_and_pickle():
+    fresh = CavityParams.from_cooperativity(0.3, eta=0.9)
+    read = CavityParams.from_cooperativity(0.3, eta=0.9)
+    read._rates, read._ratios, read._amplitude_terms
+    assert {"_mirror_rates", "_rates", "_ratios",
+            "_amplitude_terms"} <= set(vars(read))
+    assert repr(read) == repr(fresh) and hash(read) == hash(fresh)
+    assert read == fresh and fresh == read
+    assert vars(read.replace()) == vars(fresh)
+    for params in (fresh, read):
+        again = pickle.loads(pickle.dumps(params))
+        assert again == params and repr(again) == repr(params)
+        assert again._ratios == read._ratios
+    # a cached value is still not an attribute that can be set
+    with pytest.raises(FrozenRecordError):
+        read._ratios = (0.0, 1.0, 0.0, 0.0)
 
 
 def test_positional_and_keyword_construction_agree():
