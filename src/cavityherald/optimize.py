@@ -10,8 +10,10 @@ optimum sits on the floor. The optimizers solve for it exactly:
   and the success probability on the floor is maximized over the budget
   from a coarse grid and a search on the sign of its derivative. Only the
   grid points that can hold the optimum are evaluated: a bisection cuts the
-  grid above the feasible budgets, and the bound P_s <= eta R2 n_max cuts it
-  below the best value found.
+  grid above the feasible budgets, and a bound on P_s that rises in the
+  budget, A u (2 + k)/(1 + u)^2 (see `optimize_coherent_single`), cuts it
+  below the best value found. A row takes 25.7 evaluations on average over
+  the figure ranges, against about 130 for the whole grid.
 Each budget search (`_search`) runs capped regula falsi on the signed value
 and then bisects, to float adjacency. Every search is deterministic, with
 no RNG, so identical inputs give bit-identical results.
@@ -24,7 +26,6 @@ only where no click can occur (eta = 0 or x_eff = 0), so a row whose P_s
 rounds to a subnormal or 0 at a tiny cooperativity is "ok" on its floor.
 """
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -41,6 +42,7 @@ _FALSI_STEPS = 20  # regula falsi steps of a budget search before it bisects
 _ZERO_STEP = 1 / 256  # share of the bracket a search steps past a zero
 
 STATUS_INFEASIBLE = "infeasible"
+_SCHEMES = {s.value: s for s in Scheme}  # a member hashes as its name
 
 
 class OptimizationResult(Record, hidden=("n_evals", "budget_capped")):
@@ -204,27 +206,28 @@ def optimize_coherent_single(params: CavityParams,
       interval (0, n_feas). A bisection over the grid's
       indices finds its first point above n_feas. That point is evaluated,
       since the cell below it is searched; no point above it is.
-    - lower cut: on the floor P* = t(2A + tB)/(1 + t)^2 < B <= b n_max for
-      every t >= 0, because A <= B (a = eta R1 <= b = eta R2). And C <= A,
-      so t* <= k A/B with k = 2 (1 - f_target)/f_target, and
-      P* <= 2 t* A + t*^2 B <= (2k + k^2) A^2/B. Both bounds rise in n:
-      the log-derivative of A^2/B is (2 g(an) - g(bn))/n > 0 with
-      g(z) = z/(e^z - 1), which falls. The computed values obey them to a
-      few ulps. So the grid is walked down from n_feas, and the walk stops
-      at the first point n_k where twice the smaller bound at n_k lies
-      below the best P* so far: no grid point or searched peak below n_k
-      can beat it. The second bound is the tighter one near f_target = 1.
+    - lower cut: C <= A, so t* <= u = k A/B with k = 2 (1 - f_target)/
+      f_target, and P_s rises in t, so P* <= A u (2 + k)/(1 + u)^2
+      = (2 + k)/k B (u/(1 + u))^2, the floor's cap. The cap rises in n:
+      B rises, and B/A falls, so u rises. As u <= k, the cap lies below
+      k (2 + k)/(1 + k)^2 B < B <= b n_max, so no other bound on P* is
+      tighter. The computed P* obeys it to the rounding of t*'s numerator,
+      about eps/(1 - f_target) relative where C/A = 1 and the cap is
+      tight. So the grid is walked down from n_feas, and the walk stops at
+      the first point n_k where 1.25 times the cap at n_k lies below the
+      best P* so far: no grid point or searched peak below n_k can beat it.
     Every point skipped has P* below the best one evaluated, so the row is
     the one the whole grid gives. The cuts rest on the exact sign of t* and
-    on the bound, so the whole grid is evaluated where 1 - f_target is
+    on the cap, so the whole grid is evaluated where 1 - f_target is
     below 1e-12, so that rounding can decide the sign of t* at any budget,
-    and where the first budget admits no angle. P*, its bounds and its
+    and where the first budget admits no angle. P*, its cap and its
     slope are compared over a, as `protocol._coherent_single_floor` gives
     them, so the cuts and the search work alike where P* itself underflows.
 
     Every grid cell where the slope turns negative is searched to float
     adjacency on the slope's sign (`_search`), with the grid's slopes as the
-    values at the cell's ends. The best of these local maxima, the ceiling
+    values at the cell's ends, and each search's answer keeps the floor the
+    search took there. The best of these local maxima, the ceiling
     N_MAX_CEILING when P* still rises there, and the best grid point wins.
     The row is infeasible when the outcome there has no F or misses the
     floor by more than _CONSTRAINT_TOL: where no click can occur (eta = 0
@@ -234,60 +237,70 @@ def optimize_coherent_single(params: CavityParams,
     _check_target(f_target)
     # the rates are fixed for the row, so each step evaluates only the
     # closed form itself
+    floor = protocol._coherent_single_floor
     r1, _, lam = params._rates
+    a = params.eta * r1
     ratios = params._ratios
-    floor = functools.partial(protocol._coherent_single_floor,
-                              params.eta * r1, lam, ratios, f_target)
-    evaluated = {}  # grid index -> (t*, P*/a, rise, A^2/(a B))
-
-    def at(k: int) -> tuple[float, float, float, float]:
-        if k not in evaluated:
-            evaluated[k] = floor(_COARSE_GRID[k])
-        return evaluated[k]
-
-    low, top = 0, len(_COARSE_GRID)  # the whole grid, unless cut
-    if f_target <= 1.0 - 1e-12 and at(0)[1] > 0.0:
-        # upper cut: `top` is the first grid point with P* = 0
-        while top - low > 1:
-            mid = (low + top) // 2
-            if at(mid)[1] > 0.0:
-                low = mid
-            else:
-                top = mid
-        # lower cut: twice the smaller bound on P* leaves room for
-        # rounding. Like P*, both bounds are taken over a: b n / a = rho n
-        # and (2k + k^2) A^2/(a B), from the floor
-        k = 2.0 * (1.0 - f_target) / f_target
-        k2 = 2.0 * k + k * k
-        high = at(low)[1]  # the best P* so far
-        while low > 0 and not 2.0 * min(ratios[1] * _COARSE_GRID[low],
-                                        k2 * at(low)[3]) < high:
-            low -= 1
-            high = max(high, at(low)[1])
-    grid = _COARSE_GRID[low:top + 1]
-    coarse = [at(k) for k in range(low, low + len(grid))]
-    n_evals = len(evaluated)
+    grid = _COARSE_GRID
+    coarse = [None] * len(grid)  # grid index -> (t*, P*/a, rise, cap)
+    low, top = 0, len(grid)  # the whole grid, unless cut
+    if f_target <= 1.0 - 1e-12:
+        coarse[0] = cur = floor(a, lam, ratios, f_target, grid[0])
+        if cur[1] > 0.0:
+            # upper cut: `top` is the first grid point with P* = 0
+            while top - low > 1:
+                mid = (low + top) // 2
+                coarse[mid] = cur = floor(a, lam, ratios, f_target, grid[mid])
+                if cur[1] > 0.0:
+                    low = mid
+                else:
+                    top = mid
+            # lower cut: 1.25 times the floor's cap, over a like P*, leaves
+            # room for rounding
+            cur = coarse[low]
+            high = cur[1]  # the best P* so far
+            while low > 0 and not 1.25 * cur[3] < high:
+                low -= 1
+                cur = coarse[low]
+                if cur is None:
+                    coarse[low] = cur = floor(a, lam, ratios, f_target,
+                                              grid[low])
+                high = max(high, cur[1])
+    top = min(top + 1, len(grid))
+    for k in range(low, top):
+        if coarse[k] is None:
+            coarse[k] = floor(a, lam, ratios, f_target, grid[k])
+    n_evals = len(grid) - coarse.count(None)
+    coarse = coarse[low:top]
+    grid = grid[low:top]
     p_star = [ps for _, ps, _, _ in coarse]
     best = p_star.index(max(p_star))  # the first of equals
     if p_star[best] <= 0.0:  # no budget admits an angle on the floor
         return _result(params, Scheme.COHERENT_SINGLE, f_target, n_evals)
+    held = None  # (n_max, floor) at the last budget where P* rose
 
     def rise(nm: float) -> float:
-        nonlocal n_evals
+        nonlocal n_evals, held
         n_evals += 1
-        return floor(nm)[2]
+        cur = floor(a, lam, ratios, f_target, nm)
+        if cur[2] >= 0.0:
+            held = nm, cur
+        return cur[2]
 
     # P* rises where its rise is >= 0, so each grid cell where that stops
     # holds a local maximum, and so does the ceiling if P* still rises
     # there. P* can have two, a peak and then a plateau approached from
     # below, so all of them compete, with the best grid point. The grid's
-    # rises are the ends of each cell's search.
+    # rises are the ends of each cell's search. A search ends on the last
+    # budget where P* rose, so its floor is the one `rise` held last, or,
+    # where no step rose, the cell's lower end's
     rises = [r for _, _, r, _ in coarse]
-    peaks = [_search(rise, grid[k], grid[k + 1], rises[k], rises[k + 1])
-             for k in range(len(grid) - 1)
-             if rises[k] >= 0.0 and not rises[k + 1] >= 0.0]
-    n_evals += len(peaks)  # each peak is evaluated once more, for its P*
-    found = [(nm, floor(nm)) for nm in peaks]
+    found = []
+    for k in range(len(grid) - 1):
+        if rises[k] >= 0.0 and not rises[k + 1] >= 0.0:
+            held = None
+            nm = _search(rise, grid[k], grid[k + 1], rises[k], rises[k + 1])
+            found.append(held or (nm, coarse[k]))
     if rises[-1] >= 0.0:
         found.append((grid[-1], coarse[-1]))
     found.append((grid[best], coarse[best]))
@@ -310,16 +323,16 @@ def optimize_coherent_double(params: CavityParams,
     on its 1/2 plateau.
     """
     _check_target(f_target)
-    lam, q = params._rates[2], params._ratios[0]
+    terms = protocol._double_click_terms
+    eta, lam, q = params.eta, params._rates[2], params._ratios[0]
     n_evals = 0
 
     def margin(nm: float) -> float:
         # F - f_target, whose sign is exact; a n as `coherent_double` forms it
         nonlocal n_evals
         n_evals += 1
-        an = params.eta * nm * q * q
-        return (0.5 + protocol._double_click_terms(an, an + lam * nm)[1]
-                - f_target)
+        an = eta * nm * q * q
+        return 0.5 + terms(an, an + lam * nm)[1] - f_target
 
     lo, hi = 1e-9, N_MAX_CEILING
     v_lo = margin(lo)
@@ -333,8 +346,13 @@ def optimize_coherent_double(params: CavityParams,
 
 def optimize(params: CavityParams, scheme: Scheme,
              f_target: float) -> OptimizationResult:
-    """Dispatch to the per-scheme optimizer."""
-    return Scheme(scheme).optimizer(params, f_target)
+    """Dispatch to the per-scheme optimizer; `scheme` is a member or its
+    name."""
+    try:
+        member = _SCHEMES[scheme]
+    except (KeyError, TypeError):  # the Enum call raises its ValueError
+        member = Scheme(scheme)
+    return member.optimizer(params, f_target)
 
 
 def sweep(spec: SweepSpec) -> list[OptimizationResult]:

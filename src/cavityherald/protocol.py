@@ -271,11 +271,12 @@ def coherent_single(params: CavityParams, phi: float,
 def _coherent_single_floor(
         a: float, lam: float, ratios: tuple[float, float, float, float],
         f_target: float, n_max: float) -> tuple[float, float, float, float]:
-    # (t*, P*/a, rise, A^2/(a B)) of `coherent_single` on the floor
-    # F = f_target, with t = tan^2(phi), click rate a = eta R1, lam and the
-    # set's `_ratios`, unvalidated; P* is P_s on the floor, the rise is
+    # (t*, P*/a, rise, cap) of `coherent_single` on the floor F = f_target,
+    # with t = tan^2(phi), click rate a = eta R1, lam and the set's
+    # `_ratios`, unvalidated; P* is P_s on the floor, the rise is
     # (dP*/dn_max)/a where P* > 0, else -inf, so it is >= 0 exactly where
-    # P* rises, and A^2/(a B) is inf where P* = 0. All are taken over a, so
+    # P* rises, and cap is a bound on P*/a that rises in n_max, inf where
+    # P* = 0 (see `optimize.optimize_coherent_single`). All are over a, so
     # they are normal floats at every a >= 0, with their limit at a = 0,
     # and, like B/A and C/A, they are exact where the clicks saturate, so
     # P* is flat there to the last bit.
@@ -302,12 +303,18 @@ def _coherent_single_floor(
     # e^{-(a + lam) n} = d1 (1 - decay); dt is dt/dn times A/a, with
     # (d/dn (A + C)) / f_target - 2 d/dn A written so that it does not cancel
     d2 = rho * d1 * (1.0 - gap)
-    dt = (d1 * (2.0 * (1.0 - f_target) - decay) / f_target - t * d2) / b_a
+    m = 2.0 * (1.0 - f_target)
+    dt = (d1 * (m - decay) / f_target - t * d2) / b_a
     s = 1.0 + t
     rise = (2.0 * (1.0 + t * extra) / (s * s * s) * dt
             + t * (2.0 * d1 + t * d2) / (s * s))
     pa = click1 / a if an else n_max  # A/a, whose limit at a n = 0 is n_max
-    return t, pa * t * (2.0 + t * b_a) / (s * s), rise, pa / b_a
+    # cap: C <= A puts t* below u = k_f A/B, k_f = 2 (1 - f_target)/f_target,
+    # and P_s rises in t, so P* <= A u (2 + k_f)/(1 + u)^2
+    k_f = m / f_target
+    u = k_f / b_a
+    return (t, pa * t * (2.0 + t * b_a) / (s * s), rise,
+            pa * u * (2.0 + k_f) / ((1.0 + u) * (1.0 + u)))
 
 
 # (-1)^k (k - 1) / k! for k = 2 to 17: below z = 1/2 the terms past k = 17
@@ -324,7 +331,9 @@ def _erlang2_cdf(z: float) -> float:
     at z = 1e-3, and it returns exactly 0 at z ~ 1e-13 in float64), so
     arguments below 1/2 take the series of `_erlang2_scaled` times z^2.
     """
-    return _erlang2_terms(z)[0]
+    if z < 0.5:
+        return _erlang2_scaled(z) * z * z
+    return -math.expm1(-z) - z * math.exp(-z)
 
 
 def _erlang2_scaled(z: float) -> float:
@@ -342,28 +351,30 @@ def _erlang2_scaled(z: float) -> float:
     return _erlang2_cdf(z) / z / z
 
 
-def _erlang2_terms(z: float) -> tuple[float, float]:
-    """(E2(z), W(z)) for z >= 0: the Erlang-2 CDF of `_erlang2_cdf`, and
-    W(z) = S(z) (1 + z)^2 = E2(z) ((1 + z)/z)^2 with S = `_erlang2_scaled`.
-    W rises from 1/2 at z = 0 toward 1, so it is a normal float at every
-    z, where E2 underflows below z ~ 1e-154 and S above z ~ 1e154."""
-    if z < 0.5:
-        s, u = _erlang2_scaled(z), 1.0 + z
-        return s * z * z, s * (u * u)
-    e2, v = -math.expm1(-z) - z * math.exp(-z), (1.0 + z) / z
-    return e2, e2 * (v * v)
-
-
 def _double_click_terms(an: float, bn: float) -> tuple[float, float]:
     # (P_s, Re xi = F - 1/2) of `coherent_double` at a n and b n =
     # (a + lam) n, unvalidated: P_s = E2(a n) / 2, and Re xi =
     # S(b n) / (2 S(a n)), taken as W(b n) / (2 W(a n)) times
-    # ((1 + a n)/(1 + b n))^2, whose terms keep their digits at every budget
-    e2, w = _erlang2_terms(an)
+    # ((1 + a n)/(1 + b n))^2 with W(z) = S(z) (1 + z)^2 = E2(z) ((1 + z)/z)^2,
+    # S = `_erlang2_scaled`. W rises from 1/2 at z = 0 toward 1, so it is a
+    # normal float at every z, where E2 underflows below z ~ 1e-154 and S
+    # above z ~ 1e154; so the terms keep their digits at every budget
+    if an < 0.5:
+        s, u = _erlang2_scaled(an), 1.0 + an
+        e2, w = s * an * an, s * (u * u)
+    else:
+        e2, v = _erlang2_cdf(an), (1.0 + an) / an
+        w = e2 * (v * v)
+    if bn < 0.5:
+        u = 1.0 + bn
+        wb = _erlang2_scaled(bn) * (u * u)
+    else:
+        v = (1.0 + bn) / bn
+        wb = _erlang2_cdf(bn) * (v * v)
     r = (1.0 + an) / (1.0 + bn)
-    re_xi = _erlang2_terms(bn)[1] / (2.0 * w) * r * r
+    re_xi = wb / (2.0 * w) * r * r
     # S falls, so Re xi <= 1/2; as F -> 1 rounding can pass that by an ulp
-    return 0.5 * e2, min(re_xi, 0.5)
+    return 0.5 * e2, 0.5 if re_xi > 0.5 else re_xi
 
 
 def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:

@@ -7,6 +7,7 @@ is established separately in tests/test_acceptance.py.
 import hashlib
 import math
 import pickle
+import random
 import struct
 import sys
 import timeit
@@ -299,7 +300,13 @@ def _count_calls(monkeypatch, name):
     (P1, 0.9),
     (CavityParams.from_cooperativity(0.3, eta=0.6, f=0.1), 0.97),
     (CavityParams.from_cooperativity(0.0), 0.9),  # infeasible rows
-], ids=["x1", "x0.3-f", "x0"])
+    # the row of `test_coherent_single_finds_a_peak_between_grid_points`,
+    # whose searched peak wins with the floor its search held
+    (CavityParams.from_cooperativity(
+        7.05383318137887, eta=0.21265727661162592,
+        g_tilde=0.5582157193928392, kappa_tilde=0.9263767816751212),
+     0.6420543818859943),
+], ids=["x1", "x0.3-f", "x0", "peak"])
 def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
                                                 params, f_target):
     if scheme is not Scheme.FOCK_DOUBLE:  # the only scheme that models f
@@ -398,35 +405,44 @@ def test_n_evals_is_hidden_from_repr_and_equality():
     assert res.replace(n_evals=None) == res
 
 
+# coherent-single evaluations at x = 1, eta = 1, measured; 37, 38, 52, 30,
+# 23, 24, 24, 25 and 21 while the walk stopped on the smaller of b n_max and
+# (2k + k^2) A^2/B at twice its value, and each searched peak was evaluated
+# once more
+_COHERENT_SINGLE_EVALS = {0.51: 33, 0.6: 33, 0.75: 45, 0.9: 25, 0.99: 19,
+                          0.999: 21, 0.9999: 21, 1.0 - 1e-6: 22,
+                          1.0 - 1e-9: 18}
+
+
 @pytest.mark.parametrize("f_target", [0.51, 0.6, 0.75, 0.9, 0.99, 0.999,
                                       0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
 def test_coherent_single_row_needs_under_80_evaluations(f_target):
     # about 7 bisection points for the upper cut, the walk down to the lower
     # cut, one budget search to float adjacency and the final evaluation;
-    # measured 21 to 52 over these targets (29 to 61 before the floor's
-    # slope was written without cancellation), against 122 to 167 for the
+    # measured 18 to 45 over these targets, against 122 to 167 for the
     # whole grid
     res = optimize_coherent_single(P1, f_target)
-    assert res.n_evals < 80
+    assert res.n_evals <= _COHERENT_SINGLE_EVALS[f_target] < 80
 
 
 @pytest.mark.parametrize("f_target, ceiling", [
-    (0.99, 30), (0.999, 34), (0.9999, 38), (1.0 - 1e-6, 40)])
+    (0.99, 20), (0.999, 22), (0.9999, 22), (1.0 - 1e-6, 23)])
 def test_coherent_single_walk_stops_early_near_f_target_one(f_target,
                                                             ceiling):
     # near F_t = 1 the bound b n_max lies far above P* (P* is about
     # 4 (1 - F_t)(a/b) b n_max near the peak), so the walk down stops on
-    # (2k + k^2) A^2/B instead; with b n_max alone these rows took 43, 57,
-    # 72 and 68 evaluations. Measured 23, 24, 24 and 25 (29, 33, 37 and 39
-    # while the floor's slope cancelled)
+    # the floor's cap A u (2 + k)/(1 + u)^2 instead; with b n_max alone
+    # these rows took 43, 57, 72 and 68 evaluations. Measured 19, 21, 21
+    # and 22 (23, 24, 24 and 25 with the cap (2k + k^2) A^2/B at twice its
+    # value)
     assert optimize_coherent_single(P1, f_target).n_evals <= ceiling
 
 
 def test_budget_searches_stay_under_measured_evaluation_ceilings():
-    # measured: 21 and 30; a bisection to float adjacency took 65 and 174,
+    # measured: 21 and 25; a bisection to float adjacency took 65 and 174,
     # and the whole 121-point grid with regula falsi 133 for coherent single
     assert optimize_coherent_double(P1, 0.9).n_evals <= 25
-    assert optimize_coherent_single(P1, 0.9).n_evals <= 32
+    assert optimize_coherent_single(P1, 0.9).n_evals <= 26
 
 
 @pytest.mark.parametrize("scheme, f_target, capped", [
@@ -721,11 +737,78 @@ def _whole_grid_coherent_single(params, f_target):
                    out, phi, nm), p_star
 
 
+def _cap_corpus(seed: int, n: int) -> dict:
+    # (x, eta, ring, f_target) rows in four sets: the figure ranges; F_t
+    # just above 1/2, where u = k A/B > 1 at large budgets, so that
+    # u/(1 + u)^2 falls while the cap still rises; ring sets; and
+    # x <= 1e-100, where R1 underflows
+    rng = random.Random(seed)
+
+    def rows(log_x, eta, f_target, ring=lambda: None):
+        return [(10.0 ** rng.uniform(*log_x), rng.uniform(*eta), ring(),
+                 f_target()) for _ in range(n)]
+
+    return {
+        "figure": rows((math.log10(0.05), math.log10(2.0)), (0.5, 1.0),
+                       lambda: rng.uniform(0.75, 0.95)),
+        "near-half": rows((-3.0, 2.0), (0.05, 1.0),
+                          lambda: 0.52 - 0.02 * rng.random()),
+        "ring": rows((-3.0, 2.0), (0.05, 1.0),
+                     lambda: rng.uniform(0.51, 1.0 - 1e-9),
+                     lambda: (rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0))),
+        "tiny-x": rows((-300.0, -100.0), (0.05, 1.0),
+                       lambda: rng.uniform(0.51, 0.999)),
+    }
+
+
+_CAP_CORPUS = _cap_corpus(29, 100)
+
+
+@pytest.mark.parametrize("name", list(_CAP_CORPUS))
+def test_coherent_single_cap_bounds_p_star_at_and_below_its_budget(name):
+    # the floor's cap is the lower cut's bound: at every feasible grid point
+    # it is at least P* there and at every grid point below, so the walk
+    # down may stop once 1.25 times it lies below the best P*; and it lies
+    # below the bound P* < b n_max, over a rho n_max, that it replaced. Where
+    # C/A = 1 the bound is tight, and P* carries the rounding of t*'s
+    # numerator (1 + C/A)/f_target - 2, which cancels to a relative error of
+    # about eps/(1 - f_target); measured up to 1.5 of those at x <= 1e-100
+    # (over 4,000 rows), and 0 in the other three sets
+    feasible = above_one = 0
+    for x, eta, ring, f_target in _CAP_CORPUS[name]:
+        params = _params(x, eta, ring)
+        r1, _, lam = params._rates
+        best = 0.0  # the largest P* at or below the budget
+        for nm in _COARSE_GRID:
+            t, ps, _, cap = protocol._coherent_single_floor(
+                eta * r1, lam, params._ratios, f_target, nm)
+            if ps > 0.0:
+                best = max(best, ps)
+                tol = 4 * sys.float_info.epsilon / (1.0 - f_target)
+                assert cap * (1.0 + tol) >= best, (x, eta, ring, f_target, nm)
+                assert cap < params._ratios[1] * nm
+                feasible += 1
+                above_one += t > 1.0  # so u >= t* > 1
+    assert feasible > 0
+    if name == "near-half":
+        assert above_one > 0
+
+
+def _examples(rows):
+    # each corpus row as a hypothesis example
+    def add(test):
+        for x, eta, ring, f_target in rows:
+            test = example(x=x, eta=eta, ring=ring, f_target=f_target)(test)
+        return test
+    return add
+
+
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0 ** e),
        eta=st.floats(min_value=0.01, max_value=1.0), ring=ring_sets,
        f_target=st.floats(min_value=0.5, max_value=1.0 - 1e-9,
                           exclude_min=True))
+@_examples([row for rows in _cap_corpus(2929, 10).values() for row in rows])
 @example(x=1.0, eta=1.0, ring=None, f_target=0.9)
 @example(x=1.0, eta=1.0, ring=None, f_target=0.999)
 @example(x=1e-4, eta=0.01, ring=None, f_target=1.0 - 1e-9)
@@ -746,9 +829,15 @@ def test_coherent_single_cuts_skip_only_points_that_cannot_win(x, eta, ring,
     skipped = [ps for nm, ps in zip(_COARSE_GRID, p_star)
                if nm not in evaluated]
     if res.status == STATUS_OK:
-        # the floor's P* is over a = eta R1
-        a = params.eta * params._rates[0]
-        assert all(ps * a < res.p_success for ps in skipped)
+        # the floor's P* is over a = eta R1, so it keeps its digits where
+        # P_s rounds to a subnormal or 0
+        r1, _, lam = params._rates
+        a = params.eta * r1
+        best = protocol._coherent_single_floor(
+            a, lam, params._ratios, f_target, res.n_max_opt)[1]
+        assert all(ps < best for ps in skipped)
+        if res.p_success >= sys.float_info.min:
+            assert all(ps * a < res.p_success for ps in skipped)
     else:
         assert all(ps <= 0.0 for ps in skipped)
 
@@ -811,6 +900,9 @@ def test_dispatcher_accepts_scheme_values():
         assert res.scheme == scheme
     res = optimize(P1, "fock-single", 0.8)  # plain strings coerce
     assert res.scheme is Scheme.FOCK_SINGLE
+    for scheme in ("bogus", None, ["fock-single"]):
+        with pytest.raises(ValueError, match="is not a valid Scheme"):
+            optimize(P1, scheme, 0.8)
 
 
 def test_default_grid_shape():
