@@ -99,12 +99,16 @@ class Record:
     set by the class's `_post_init`, and `hidden` fields are left out of
     repr(), equality and the hash. __init__ takes the other fields by
     position or keyword, stores each, and then calls `_post_init()` where the
-    class defines one, to check or derive fields. Records are equal where
-    they are of one class and their compared fields are equal, and a record
-    hashes as the tuple of those fields. `replace` builds a changed copy
-    through __init__, so it runs the checks again. No attribute can be set
-    or deleted. There are no __slots__: cached properties and the `_frozen`
-    builders use the instance __dict__.
+    class defines one, to check or derive fields. `_make`, called on the
+    class, takes every field, derived and hidden ones too, by position or
+    keyword with the same defaults, and stores them as they are, with no
+    checks and no `_post_init`: it builds the package's results, whose
+    fields are already worked out. Records are equal where they are of one
+    class and their compared fields are equal, and a record hashes as the
+    tuple of those fields. `replace` builds a changed copy through __init__,
+    so it runs the checks again. No attribute can be set or deleted. There
+    are no __slots__: cached properties and `_make` use the instance
+    __dict__.
     """
 
     def __init_subclass__(cls, derived=(), hidden=(), **kwargs) -> None:
@@ -113,7 +117,7 @@ class Record:
         cls._compared = tuple(n for n in cls._fields if n not in hidden)
         # the fields that __init__ takes, and so `replace` copies
         cls.__match_args__ = tuple(n for n in cls._fields if n not in derived)
-        cls.__init__ = _record_init(cls)
+        cls.__init__, cls._make = _record_builders(cls)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecordError(f"cannot assign to field {name!r}")
@@ -144,22 +148,36 @@ class Record:
         return self.__class__(**kwargs)
 
 
-def _record_init(cls):
-    # __init__ written out for each class, as dataclasses writes it, so that
-    # a record builds as fast: one object.__setattr__ per field and no
-    # argument loop. A default is the class attribute of its field.
-    names = cls.__match_args__
-    args = [f"{name}=_cls.{name}" if name in vars(cls) else name
-            for name in names]
-    body = [f"    _set(self, {name!r}, {name})" for name in names]
+def _record_builders(cls):
+    # __init__ and `_make`, written out for each class in one exec, as
+    # dataclasses writes __init__, so that a record builds as fast: __init__
+    # makes one object.__setattr__ per field and no argument loop, and
+    # `_make` fills every field, in declaration order, with one keyword
+    # `__dict__.update(...)`; stores made one key at a time would leave a
+    # split-key __dict__, on which field reads are slower. A default is the
+    # class attribute of its field. `_make` is a plain function, not a
+    # staticmethod: called on the class it takes no self, and CPython 3.11
+    # caches the load of a function class attribute but not of a
+    # staticmethod.
+    def params(names):
+        return ", ".join(f"{name}=_cls.{name}" if name in vars(cls) else name
+                         for name in names)
+
+    names, every = cls.__match_args__, cls._fields
+    source = [f"def __init__(self, {params(names)}):",
+              *(f"    _set(self, {name!r}, {name})" for name in names)]
     if hasattr(cls, "_post_init"):
-        body.append("    self._post_init()")
-    namespace = {"_set": object.__setattr__, "_cls": cls}
-    exec(f"def __init__(self, {', '.join(args)}):\n"
-         + "\n".join(body), namespace)
-    init = namespace["__init__"]
+        source.append("    self._post_init()")
+    stored = ", ".join(f"{name}={name}" for name in every)
+    source += [f"def _make({params(every)}):", "    self = _new(_cls)",
+               f"    self.__dict__.update({stored})", "    return self"]
+    namespace = {"_set": object.__setattr__, "_new": object.__new__,
+                 "_cls": cls}
+    exec("\n".join(source), namespace)
+    init, make = namespace["__init__"], namespace["_make"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    make.__qualname__ = f"{cls.__qualname__}._make"
+    return init, make
 
 
 def fields(record) -> tuple[str, ...]:
@@ -333,14 +351,6 @@ class CavityParams(Record):
                    **kwargs)
 
 
-# A result skips its record __init__, with its one object.__setattr__ per
-# field: `_frozen(cls)` is an empty instance, and the caller fills every
-# field, in declaration order, with one keyword `__dict__.update(...)`.
-# Stores made one key at a time would leave a split-key __dict__, on which
-# field reads are slower.
-_frozen = object.__new__
-
-
 def _probabilities(r: complex, t: complex) -> tuple[float, float, float]:
     # (R, T, loss) of amplitudes r and t
     R = abs(r) ** 2
@@ -405,9 +415,7 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     if not math.isfinite(loss):
         raise ValueError(f"the amplitudes overflow at N = {n_atoms}, "
                          f"g = {params.g}, omega = {omega}")
-    point = _frozen(SpectrumPoint)
-    point.__dict__.update(omega=omega, r=r, t=t, R=R, T=T, loss=loss)
-    return point
+    return SpectrumPoint._make(omega, r, t, R, T, loss)
 
 
 def effective_cooperativity_ring(params: CavityParams) -> float:

@@ -32,8 +32,8 @@ from collections.abc import Callable
 
 from . import protocol
 # the scheme table and the default grid are re-exported from where they live
-from .core import (CavityParams, Record, _check_x, _frozen, _linspace,
-                   default_x_grid, with_cooperativity)
+from .core import (CavityParams, Record, _check_x, _linspace, default_x_grid,
+                   with_cooperativity)
 from .protocol import STATUS_OK, Scheme
 
 N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below it
@@ -112,17 +112,11 @@ def _result(params: CavityParams, scheme: Scheme, f_target: float,
     fid = None if out is None else out.fidelity
     if fid is None or not fid >= f_target - _CONSTRAINT_TOL:
         fid = phi = n_max = None
-    row = _frozen(OptimizationResult)
-    row.__dict__.update(
-        x=params.cooperativity, scheme=scheme, eta=params.eta,
-        f_target=f_target, phi_opt=phi, n_max_opt=n_max,
-        p_success=0.0 if fid is None else out.p_success,
-        fidelity_achieved=fid,
-        status=STATUS_INFEASIBLE if fid is None else STATUS_OK,
-        n_evals=n_evals,
-        budget_capped=(n_max == N_MAX_CEILING if "n_max" in scheme.needs
-                       else None))
-    return row
+    return OptimizationResult._make(
+        params.cooperativity, scheme, params.eta, f_target, phi, n_max,
+        0.0 if fid is None else out.p_success, fid,
+        STATUS_INFEASIBLE if fid is None else STATUS_OK, n_evals,
+        n_max == N_MAX_CEILING if "n_max" in scheme.needs else None)
 
 
 def _search(value: Callable[[float], float], lo: float, hi: float,

@@ -17,16 +17,14 @@ Three unrelated routes re-derive the protocol predictions:
 report for the command-line `verify` subcommand.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import protocol
 from .core import (
     CavityParams,
+    Record,
     reflection_probability,
     scattering_loss,
     transmission_probability,
@@ -59,8 +57,8 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
-@dataclass(frozen=True)
-class LindbladSystem:
+class LindbladSystem(Record, hidden=("hamiltonian", "collapse_ops",
+                                    "cavity_op", "excited_number")):
     """Driven two-atom cavity master-equation generator.
 
     The Hilbert space is atom1 x atom2 x cavity with atom levels
@@ -68,17 +66,19 @@ class LindbladSystem:
     is (a1 * 3 + a2) * (n_c + 1) + n. The drive enters the Hamiltonian as
     i sqrt(kappa_a * flux) (c^dag - c), matching the input-output convention
     of the scattering amplitudes. `cavity_op` is c and `excited_number` the
-    number of excited atoms, both on the full space.
+    number of excited atoms, both on the full space. The four operators are
+    functions of params, n_c and drive_flux, so they are left out of repr(),
+    equality and the hash, and a system compares by its inputs.
     """
 
     params: CavityParams
     n_in_state_1: int
     n_c: int
     drive_flux: float
-    hamiltonian: np.ndarray = field(repr=False)
-    collapse_ops: tuple[np.ndarray, ...] = field(repr=False)
-    cavity_op: np.ndarray = field(repr=False)
-    excited_number: np.ndarray = field(repr=False)
+    hamiltonian: np.ndarray
+    collapse_ops: tuple[np.ndarray, ...]
+    cavity_op: np.ndarray
+    excited_number: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -99,7 +99,7 @@ def build_system(params: CavityParams, n_in_state_1: int, n_c: int = 3,
         the remaining atoms start in |0> and stay there (no process couples
         |0> to anything).
     n_c : int
-        Photon-number truncation, at least 2.
+        Photon-number truncation, an integer of at least 2.
     drive_flux : float
         Input photon flux Phi in units of gamma, at most 1e-2 so that the
         drive stays weak.
@@ -108,13 +108,12 @@ def build_system(params: CavityParams, n_in_state_1: int, n_c: int = 3,
         raise ValueError("the oracle has no ring mode; g_tilde must be 0")
     if n_in_state_1 not in (0, 1, 2):
         raise ValueError("n_in_state_1 must be 0, 1, or 2")
-    if n_c < 2:
-        raise ValueError("photon truncation n_c must be at least 2")
-    if drive_flux < 0:
-        raise ValueError("drive_flux must be nonnegative")
-    if drive_flux > WEAK_DRIVE_MAX * params.gamma:
-        raise ValueError(f"drive_flux {drive_flux} exceeds the weak-drive "
-                         f"guard {WEAK_DRIVE_MAX}")
+    if not isinstance(n_c, (int, np.integer)) or n_c < 2:
+        raise ValueError("photon truncation n_c must be an integer of at "
+                         f"least 2, got {n_c}")
+    if not 0.0 <= drive_flux <= WEAK_DRIVE_MAX * params.gamma:
+        raise ValueError(f"drive_flux must lie in [0, {WEAK_DRIVE_MAX}], the "
+                         f"weak-drive guard, got {drive_flux}")
 
     n_ph = n_c + 1
     ann = np.diag(np.sqrt(np.arange(1, n_ph)), k=1)

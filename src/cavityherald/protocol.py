@@ -29,7 +29,7 @@ import enum
 import importlib
 import math
 
-from .core import CavityParams, Record, _cached, _frozen
+from .core import CavityParams, Record, _cached
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -63,17 +63,6 @@ class SchemeOutcome(Record):
     p_success_err: float | None = None
     fidelity_err: float | None = None
     n_success: int | None = None
-
-
-def _outcome(p_success: float, fidelity: float, p1_conditional: float,
-             re_coherence: float) -> SchemeOutcome:
-    # an "ok" closed-form SchemeOutcome, without the Monte Carlo fields
-    out = _frozen(SchemeOutcome)
-    out.__dict__.update(
-        p_success=p_success, fidelity=fidelity, status=STATUS_OK,
-        p1_conditional=p1_conditional, re_coherence=re_coherence,
-        p_success_err=None, fidelity_err=None, n_success=None)
-    return out
 
 
 # what every scheme returns where no click can occur
@@ -124,7 +113,8 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
     fid = 1.0 / (1.0 + 0.5 * t * params._ratios[1])
-    return _outcome(params.eta * (p1 * r1 + p2 * r2), fid, fid, fid / 2.0)
+    return SchemeOutcome._make(params.eta * (p1 * r1 + p2 * r2), fid,
+                              STATUS_OK, fid, fid / 2.0)
 
 
 def fock_double(params: CavityParams) -> SchemeOutcome:
@@ -141,7 +131,8 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     if params.eta == 0.0 or (lam == 0.0 and params.f == 0.0):
         return _UNDEFINED
     fid = false_reflection_fidelity(params, params.f)
-    return _outcome(0.5 * (params.eta * r1) ** 2, fid, 1.0, fid - 0.5)
+    return SchemeOutcome._make(0.5 * (params.eta * r1) ** 2, fid, STATUS_OK,
+                              1.0, fid - 0.5)
 
 
 def false_reflection_fidelity(params: CavityParams, f: float) -> float:
@@ -264,8 +255,8 @@ def coherent_single(params: CavityParams, phi: float,
     c_a = (k + e * (-math.expm1(-ln) / ln if ln else 1.0) * inv) / (k + 1.0)
     p1c = 1.0 / (1.0 + 0.5 * t * b_a)
     coh = p1c * c_a / 2.0
-    return _outcome(p1 * click1 + p2 * (click1 + e * gap), p1c / 2.0 + coh,
-                    p1c, coh)
+    return SchemeOutcome._make(p1 * click1 + p2 * (click1 + e * gap),
+                              p1c / 2.0 + coh, STATUS_OK, p1c, coh)
 
 
 def _coherent_single_floor(
@@ -409,7 +400,7 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     an = params.eta * n_max * q * q
     ps, re_xi = _double_click_terms(an, an + lam * n_max)
     fid = 0.5 + re_xi
-    return _outcome(ps, fid, 1.0, fid - 0.5)
+    return SchemeOutcome._make(ps, fid, STATUS_OK, 1.0, fid - 0.5)
 
 
 def coherent_double_fidelity_uncorrected(params: CavityParams,

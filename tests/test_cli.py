@@ -822,6 +822,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_oracle_import_loads_neither_dataclasses_nor_future():
+    # numpy itself loads `inspect`, `ast`, `dis` and `tokenize`, but neither
+    # of these two
+    probe = ("import sys, cavityherald.oracle\n"
+             "assert not {'dataclasses', '__future__'} & set(sys.modules)\n")
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_import_loads_no_scipy():
     probe = ("import sys, cavityherald.oracle\n"
              "assert 'numpy' in sys.modules\n"

@@ -47,7 +47,13 @@ from cavityherald.optimize import (
     optimize_fock_single,
     sweep,
 )
-from cavityherald.protocol import coherent_double, coherent_single, fock_single
+from cavityherald.oracle import build_system
+from cavityherald.protocol import (
+    coherent_double,
+    coherent_single,
+    fock_single,
+    initial_populations,
+)
 
 P1 = CavityParams.from_cooperativity(1.0)
 
@@ -325,8 +331,8 @@ def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
 
 # ------------------------------------------------ results built in one step
 
-# (result, the names of two fields) from each builder that skips __init__:
-# `scattering_amplitudes`, `protocol._outcome` and `_result`
+# (result, the names of two fields) from each caller of a record's `_make`:
+# `scattering_amplitudes`, the closed forms of `protocol` and `_result`
 _ONE_STEP = {
     "spectrum-point": (scattering_amplitudes(P1, 0.3, 2), ("R", "T")),
     "outcome": (coherent_single(P1, 0.6, 2.0), ("p_success", "fidelity")),
@@ -344,7 +350,39 @@ def _constructed(result):
                            for name in result.__match_args__})
 
 
-@pytest.mark.parametrize("result, _", _ONE_STEP.values(), ids=_ONE_STEP)
+def _made(record):
+    # `record` built again by its class's `_make`, from every field
+    return type(record)._make(*(getattr(record, name)
+                                for name in fields(record)))
+
+
+# every other record class, built by `_make` from a constructed instance
+_MADE = {
+    "params": (_made(CavityParams.from_cooperativity(0.3, eta=0.9)), None),
+    "preparation": (_made(initial_populations(0.6)), None),
+    "sweep-spec": (_made(SweepSpec((0.5, 1.0), 0.8, 0.9, Scheme.FOCK_SINGLE,
+                                   CavityParams.from_cooperativity(
+                                       0.0, eta=0.8))), None),
+    "lindblad-system": (_made(build_system(P1, 1)), None),
+}
+
+
+def _plain(value):
+    # a field value as == can compare it: a numpy array, as a
+    # LindbladSystem's operators are, by its dtype, shape and bytes
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    return value
+
+
+def _plain_vars(record):
+    return {name: _plain(value) for name, value in vars(record).items()}
+
+
+@pytest.mark.parametrize("result, _", [*_ONE_STEP.values(), *_MADE.values()],
+                         ids=[*_ONE_STEP, *_MADE])
 def test_results_built_in_one_step_match_the_constructor(result, _):
     twin = _constructed(result)
     assert list(vars(result)) == list(fields(result))
@@ -352,7 +390,7 @@ def test_results_built_in_one_step_match_the_constructor(result, _):
     assert result == twin and hash(result) == hash(twin)
     assert repr(result) == repr(twin)
     back = pickle.loads(pickle.dumps(result))
-    assert vars(back) == vars(result) and back == result
+    assert _plain_vars(back) == _plain_vars(result) and back == result
     assert repr(back) == repr(result)
     assert vars(result.replace()) == vars(result)
     with pytest.raises(FrozenRecordError):

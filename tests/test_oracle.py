@@ -48,6 +48,11 @@ def test_build_system_validation():
         build_system(P1, 1, drive_flux=-1.0)
     with pytest.raises(ValueError):
         build_system(P1, 1, drive_flux=10.0 * WEAK_DRIVE_MAX)
+    # a NaN drive fails every comparison; a truncation is a photon count
+    with pytest.raises(ValueError, match="drive_flux"):
+        build_system(P1, 1, drive_flux=math.nan)
+    with pytest.raises(ValueError, match="integer"):
+        build_system(P1, 1, n_c=2.5)
 
 
 def test_system_dimensions():

@@ -31,6 +31,7 @@ from cavityherald.optimize import (
     optimize_fock_double,
     optimize_fock_single,
 )
+from cavityherald.oracle import build_system
 from cavityherald.protocol import (
     Preparation,
     SchemeOutcome,
@@ -337,3 +338,23 @@ def test_every_record_type_derives_from_the_one_base():
             assert (g, kappa_a, kappa_b, eta) == (1.0, 0.5, 0.5, 1.0)
         case _:
             pytest.fail("CavityParams did not match by position")
+
+
+def test_lindblad_system_compares_by_its_inputs():
+    # the operator arrays are functions of params, n_c and drive_flux, so
+    # they stay out of repr(), equality and the hash
+    system = build_system(P1, 1)
+    assert repr(system) == (
+        "LindbladSystem(params=CavityParams(g=1.0, kappa_a=0.5, kappa_b=0.5, "
+        "gamma=1.0, delta=0.0, eta=1.0, f=0.0, g_tilde=0.0, "
+        "kappa_tilde=0.0), n_in_state_1=1, n_c=3, drive_flux=0.001)")
+    twin = build_system(P1, 1)
+    assert twin is not system and twin == system
+    assert hash(twin) == hash(system) == hash((P1, 1, 3, 0.001))
+    assert build_system(P1, 2) != system
+    assert isinstance(system, Record)
+    with pytest.raises(FrozenRecordError, match="cannot assign to field"):
+        system.n_c = 4
+    back = pickle.loads(pickle.dumps(system))
+    assert back == system and repr(back) == repr(system)
+    assert (back.hamiltonian == system.hamiltonian).all()
