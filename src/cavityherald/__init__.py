@@ -4,16 +4,9 @@ Closed-form success probabilities and fidelities for Fock- and
 coherent-state heralding schemes, constrained optimizers over the
 preparation parameters, and independent master-equation / quadrature /
 Monte Carlo verification oracles.
-
-The function `optimize` re-exported here shadows the submodule of the same
-name whatever the import order, so `import cavityherald.optimize as m`
-binds the function; use `importlib.import_module("cavityherald.optimize")`
-to reach the module.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -32,10 +25,9 @@ _MODULES = {
                  "coherent_conditional_fidelity", "first_click_density",
                  "coherent_single", "coherent_double",
                  "coherent_double_fidelity_uncorrected", "Scheme"),
-    "optimize": ("OptimizationResult", "SweepSpec", "optimize",
-                 "optimize_fock_single", "optimize_fock_double",
-                 "optimize_coherent_single", "optimize_coherent_double",
-                 "sweep"),
+    "optimize": ("OptimizationResult", "SweepSpec", "optimize_fock_single",
+                 "optimize_fock_double", "optimize_coherent_single",
+                 "optimize_coherent_double", "sweep"),
     "oracle": ("LindbladSystem", "OracleDiagnosticError", "build_system",
                "steady_state_rt", "steady_state_density_matrix",
                "coherence_decay_rate", "quadrature_single",
@@ -58,26 +50,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Package(types.ModuleType):
-    """The package, whose attribute `optimize` is always the function.
-
-    Importing the submodule `optimize` binds it as an attribute of the
-    package, which would shadow the function; this property drops that
-    binding and keeps any other value set."""
-
-    @property
-    def optimize(self):
-        try:
-            return vars(self)["optimize"]
-        except KeyError:
-            return __getattr__("optimize")
-
-    @optimize.setter
-    def optimize(self, value) -> None:
-        if value is not sys.modules.get(f"{self.__name__}.optimize"):
-            vars(self)["optimize"] = value
-
-
-sys.modules[__name__].__class__ = _Package

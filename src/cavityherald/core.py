@@ -108,12 +108,21 @@ class Record:
     tuple of those fields. `replace` builds a changed copy through __init__,
     so it runs the checks again. No attribute can be set or deleted. There
     are no __slots__: cached properties and `_make` use the instance
-    __dict__.
+    __dict__. A record class derives from `Record` and from no other record
+    class, and has at least one field; else it raises TypeError.
     """
 
     def __init_subclass__(cls, derived=(), hidden=(), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        # a class reads only its own annotations, so a record subclass would
+        # lose the fields it inherits
+        if any(base is not Record and issubclass(base, Record)
+               for base in cls.__bases__):
+            raise TypeError(f"record class {cls.__qualname__} cannot "
+                            "subclass another record class")
         cls._fields = tuple(cls.__annotations__)
+        if not cls._fields:
+            raise TypeError(f"record class {cls.__qualname__} has no field")
         cls._compared = tuple(n for n in cls._fields if n not in hidden)
         # the fields that __init__ takes, and so `replace` copies
         cls.__match_args__ = tuple(n for n in cls._fields if n not in derived)

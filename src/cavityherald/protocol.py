@@ -26,7 +26,6 @@ a command that evaluates one scheme loads no optimizer.
 """
 
 import enum
-import importlib
 import math
 
 from .core import CavityParams, Record, _cached
@@ -439,5 +438,5 @@ class Scheme(str, enum.Enum):
     def optimizer(self):
         # optimize_fock_single for FOCK_SINGLE, and so on; kept on the
         # member after the first read
-        module = importlib.import_module(".optimize", __package__)
-        return getattr(module, "optimize_" + self.name.lower())
+        from . import optimize
+        return getattr(optimize, "optimize_" + self.name.lower())

@@ -921,24 +921,33 @@ def test_cold_command_runs_with_click_blocked(args):
     assert proc.stdout == run_cli(*args).stdout
 
 
-@pytest.mark.parametrize("first", ["function", "module"])
-def test_package_optimize_is_the_function_in_either_import_order(first):
-    # importing the submodule binds it on the package; that binding is
-    # dropped with no ImportWarning, which would be an error here
-    probe = ("import importlib, sys, types, warnings\n"
+@pytest.mark.parametrize("first", ["import", "from"])
+def test_package_optimize_is_the_module_in_either_import_order(first):
+    # the submodule binds itself on the package as any submodule does, and
+    # nothing at the root shadows it; an ImportWarning would be an error here
+    probe = ("import sys, types, warnings\n"
              "warnings.simplefilter('error')\n"
              "import cavityherald\n"
-             "def module():\n"
-             "    return importlib.import_module('cavityherald.optimize')\n"
-             "if sys.argv[1] == 'module':\n"
-             "    module()\n"
-             "fn = cavityherald.optimize\n"
-             "assert isinstance(fn, types.FunctionType), fn\n"
-             "assert fn is module().optimize is cavityherald.optimize\n"
-             "import cavityherald.optimize as bound\n"
-             "assert bound is fn\n"
-             "from cavityherald import optimize\n"
-             "assert optimize is fn\n")
+             "def by_import():\n"
+             "    import cavityherald.optimize as m\n"
+             "    return m\n"
+             "def by_from():\n"
+             "    from cavityherald import optimize\n"
+             "    return optimize\n"
+             "loads = [by_import, by_from]\n"
+             "if sys.argv[1] == 'from':\n"
+             "    loads.reverse()\n"
+             "found = []\n"
+             "for load in loads:\n"
+             "    m = load()\n"
+             "    assert type(m) is types.ModuleType, m\n"
+             "    assert m.__name__ == 'cavityherald.optimize', m\n"
+             "    assert cavityherald.optimize is m\n"
+             "    found.append(m)\n"
+             "assert found[0] is found[1]\n"
+             "assert isinstance(m.optimize, types.FunctionType), m.optimize\n"
+             "assert 'optimize' not in cavityherald.__all__\n"
+             "assert type(cavityherald) is types.ModuleType\n")
     proc = _run_python(probe, first)
     assert proc.returncode == 0, proc.stderr
 
@@ -967,11 +976,11 @@ def test_scheme_choices_are_the_scheme_table():
 
 
 def test_each_scheme_loads_its_optimizer_on_first_use():
-    probe = ("import importlib, sys\n"
+    probe = ("import sys\n"
              "from cavityherald.protocol import Scheme\n"
              "assert 'cavityherald.optimize' not in sys.modules\n"
              "found = [s.optimizer for s in Scheme]\n"
-             "opt = importlib.import_module('cavityherald.optimize')\n"
+             "import cavityherald.optimize as opt\n"
              "assert opt.Scheme is Scheme\n"
              "assert found == [opt.optimize_fock_single, opt.optimize_fock_double,\n"
              "                 opt.optimize_coherent_single,\n"

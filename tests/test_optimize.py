@@ -8,6 +8,7 @@ import hashlib
 import math
 import pickle
 import random
+import statistics
 import struct
 import sys
 import timeit
@@ -331,15 +332,18 @@ def test_n_evals_counts_closed_form_evaluations(monkeypatch, scheme, kernel,
 
 # ------------------------------------------------ results built in one step
 
-# (result, the names of two fields) from each caller of a record's `_make`:
-# `scattering_amplitudes`, the closed forms of `protocol` and `_result`
+# (a builder of a result, the names of two fields) for each caller of a
+# record's `_make`: `scattering_amplitudes`, the closed forms of `protocol`
+# and `_result`
 _ONE_STEP = {
-    "spectrum-point": (scattering_amplitudes(P1, 0.3, 2), ("R", "T")),
-    "outcome": (coherent_single(P1, 0.6, 2.0), ("p_success", "fidelity")),
-    "row": (optimize_coherent_single(P1, 0.9),
+    "spectrum-point": (lambda: scattering_amplitudes(P1, 0.3, 2), ("R", "T")),
+    "outcome": (lambda: coherent_single(P1, 0.6, 2.0),
+                ("p_success", "fidelity")),
+    "row": (lambda: optimize_coherent_single(P1, 0.9),
             ("p_success", "fidelity_achieved")),
-    "infeasible-row": (optimize_fock_double(CavityParams.from_cooperativity(
-        0.0), 0.9), ("p_success", "fidelity_achieved")),
+    "infeasible-row": (lambda: optimize_fock_double(
+        CavityParams.from_cooperativity(0.0), 0.9),
+        ("p_success", "fidelity_achieved")),
 }
 
 
@@ -356,14 +360,16 @@ def _made(record):
                                 for name in fields(record)))
 
 
-# every other record class, built by `_make` from a constructed instance
+# a builder of every other record class, by `_make` from a constructed
+# instance
 _MADE = {
-    "params": (_made(CavityParams.from_cooperativity(0.3, eta=0.9)), None),
-    "preparation": (_made(initial_populations(0.6)), None),
-    "sweep-spec": (_made(SweepSpec((0.5, 1.0), 0.8, 0.9, Scheme.FOCK_SINGLE,
-                                   CavityParams.from_cooperativity(
-                                       0.0, eta=0.8))), None),
-    "lindblad-system": (_made(build_system(P1, 1)), None),
+    "params": (lambda: _made(CavityParams.from_cooperativity(0.3, eta=0.9)),
+               None),
+    "preparation": (lambda: _made(initial_populations(0.6)), None),
+    "sweep-spec": (lambda: _made(SweepSpec(
+        (0.5, 1.0), 0.8, 0.9, Scheme.FOCK_SINGLE,
+        CavityParams.from_cooperativity(0.0, eta=0.8))), None),
+    "lindblad-system": (lambda: _made(build_system(P1, 1)), None),
 }
 
 
@@ -381,9 +387,10 @@ def _plain_vars(record):
     return {name: _plain(value) for name, value in vars(record).items()}
 
 
-@pytest.mark.parametrize("result, _", [*_ONE_STEP.values(), *_MADE.values()],
+@pytest.mark.parametrize("build, _", [*_ONE_STEP.values(), *_MADE.values()],
                          ids=[*_ONE_STEP, *_MADE])
-def test_results_built_in_one_step_match_the_constructor(result, _):
+def test_results_built_in_one_step_match_the_constructor(build, _):
+    result = build()
     twin = _constructed(result)
     assert list(vars(result)) == list(fields(result))
     assert vars(result) == vars(twin)
@@ -397,28 +404,30 @@ def test_results_built_in_one_step_match_the_constructor(result, _):
         setattr(result, fields(result)[0], 0.0)
 
 
-def _fastest_reads_ns(objs, first, second):
-    # the fastest of 30 timings of two field reads on each object, timed in
-    # turn so that all see the same machine
+def _median_read_ratio(ours, theirs, first, second):
+    # the median over 31 rounds of the time of two field reads on `ours`
+    # over that on `theirs`; each round times both, in an order that
+    # alternates from round to round, so a slow spell of the machine slows
+    # both sides of a ratio
     stmt = f"o.{first}; o.{second}; " * 10
-    timers = [timeit.Timer(stmt, setup="o = obj", globals={"obj": o})
-              for o in objs]
-    best = [math.inf] * len(objs)
-    for _ in range(30):
-        for i, timer in enumerate(timers):
-            best[i] = min(best[i], timer.timeit(1000) / 10)
-    return best
+    timers = [timeit.Timer(stmt, setup="o = obj", globals={"obj": o}).timeit
+              for o in (ours, theirs)]
+    ratios = []
+    for i in range(31):
+        step = -1 if i % 2 else 1
+        a, b = [timer(1000) for timer in timers[::step]][::step]
+        ratios.append(a / b)
+    return statistics.median(ratios)
 
 
-@pytest.mark.parametrize("result, fields", _ONE_STEP.values(), ids=_ONE_STEP)
-def test_field_reads_on_results_built_in_one_step_stay_fast(result, fields):
-    # one keyword __dict__.update leaves a combined dict: reads measured
-    # 1.2 to 1.35 times those on the constructor's instance, against about
-    # 5 times when the fields are stored one key at a time (a split-key
-    # dict on CPython 3.11)
-    ours, constructed = _fastest_reads_ns([result, _constructed(result)],
-                                          *fields)
-    assert ours <= 2.0 * constructed
+@pytest.mark.parametrize("build, names", _ONE_STEP.values(), ids=_ONE_STEP)
+def test_field_reads_on_results_built_in_one_step_stay_fast(build, names):
+    # one keyword __dict__.update leaves a combined dict: the median ratio
+    # measured 1.23 to 1.27 against the constructor's instance, and 5.1 to
+    # 5.3 when `_make` stores the fields one key at a time (a split-key dict
+    # on CPython 3.11)
+    result = build()
+    assert _median_read_ratio(result, _constructed(result), *names) <= 2.0
 
 
 class _Plain:
@@ -430,11 +439,11 @@ class _Plain:
 
 
 def test_field_reads_on_params_stay_fast():
-    # the record __init__ stores each field as a plain instance would:
-    # reads measured 0.99 to 1.06 times those on a plain instance
+    # the record __init__ stores each field as a plain instance would: the
+    # median ratio measured 1.00 against a plain instance, and 5.0 when
+    # __init__ stores through the instance __dict__ one key at a time
     params = CavityParams.from_cooperativity(0.7, eta=0.9)
-    ours, plain = _fastest_reads_ns([params, _Plain(params)], "g", "eta")
-    assert ours <= 1.5 * plain
+    assert _median_read_ratio(params, _Plain(params), "g", "eta") <= 1.5
 
 
 def test_n_evals_is_hidden_from_repr_and_equality():

@@ -340,6 +340,24 @@ def test_every_record_type_derives_from_the_one_base():
             pytest.fail("CavityParams did not match by position")
 
 
+def test_subclassing_a_record_class_raises_type_error():
+    with pytest.raises(TypeError,
+                       match=r"\.C cannot subclass another record"):
+        class C(SchemeOutcome):
+            pass
+
+    with pytest.raises(TypeError,
+                       match=r"\.B cannot subclass another record"):
+        class B(SchemeOutcome):
+            extra: int = 0
+
+
+def test_a_record_class_with_no_field_raises_type_error():
+    with pytest.raises(TypeError, match=r"\.E has no field"):
+        class E(Record):
+            pass
+
+
 def test_lindblad_system_compares_by_its_inputs():
     # the operator arrays are functions of params, n_c and drive_flux, so
     # they stay out of repr(), equality and the hash
