@@ -500,7 +500,11 @@ def cmd_verify(cfg: dict) -> int | None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import json
 
-    from . import oracle
+    try:
+        from . import oracle
+    except ImportError as exc:  # numpy is the optional extra `verify`
+        sys.stderr.write(f"Error: {exc}\n")
+        return 2
     given = {k: cfg[k] for k in ("seed", "samples") if k in cfg}
     if given.get("samples", oracle.MIN_SAMPLES) < oracle.MIN_SAMPLES:
         raise ValueError(f"need at least {oracle.MIN_SAMPLES} samples")

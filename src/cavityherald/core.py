@@ -90,49 +90,99 @@ class FrozenRecordError(AttributeError):
     """Raised on setting or deleting an attribute of a record."""
 
 
-class Record:
+class _cached:
+    """A cached property: the getter runs on the first read, and its value
+    is stored under the getter's name with object.__setattr__, as the
+    record __init__ stores a field, so later reads find it in the instance
+    and skip the getter. A record class with one keeps the values in an
+    instance __dict__ that holds nothing else, as its fields are slots, so
+    a cached value leaves the fields' layout, and their reads, as they
+    are."""
+
+    def __init__(self, getter) -> None:
+        self.getter, self.name = getter, getter.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.getter(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
+class _RecordType(type):
+    """The metaclass of `Record`. It lays each record class out on
+    __slots__ before the class exists, which `__init_subclass__` would be
+    too late for: one slot per annotated name, and a `__dict__` slot only
+    where the class has a `_cached` property, to hold its values. A field's
+    default leaves the class body, where it would clash with its slot, for
+    the builders of `_record_builders`."""
+
+    def __new__(mcs, name, bases, namespace, derived=(), hidden=()):
+        if not bases:  # Record itself
+            return super().__new__(mcs, name, bases,
+                                   {**namespace, "__slots__": ()})
+        qualname = namespace["__qualname__"]
+        # a class reads only its own annotations, so a record subclass would
+        # lose the fields it inherits
+        if any(isinstance(base, _RecordType) and base is not Record
+               for base in bases):
+            raise TypeError(f"record class {qualname} cannot subclass "
+                            "another record class")
+        fields = tuple(namespace.get("__annotations__", ()))
+        if not fields:
+            raise TypeError(f"record class {qualname} has no field")
+        defaults = {n: namespace.pop(n) for n in fields if n in namespace}
+        if any(isinstance(v, _cached) for v in namespace.values()):
+            namespace["__slots__"] = (*fields, "__dict__")
+        else:
+            namespace["__slots__"] = fields
+        cls = super().__new__(mcs, name, bases, namespace)
+        cls._fields = fields
+        cls._compared = tuple(n for n in fields if n not in hidden)
+        # the fields that __init__ takes, and so `replace` copies
+        cls.__match_args__ = tuple(n for n in fields if n not in derived)
+        cls.__init__, cls._make = _record_builders(cls, defaults)
+        return cls
+
+
+class Record(metaclass=_RecordType):
     """Base of the package's frozen records.
 
     A record's fields are the names annotated in its class body, in order,
-    and a field with a class attribute takes it as its default. Two class
-    keywords set fields apart: `derived` fields are left out of __init__ and
-    set by the class's `_post_init`, and `hidden` fields are left out of
-    repr(), equality and the hash. __init__ takes the other fields by
-    position or keyword, stores each, and then calls `_post_init()` where the
-    class defines one, to check or derive fields. `_make`, called on the
-    class, takes every field, derived and hidden ones too, by position or
-    keyword with the same defaults, and stores them as they are, with no
-    checks and no `_post_init`: it builds the package's results, whose
-    fields are already worked out. Records are equal where they are of one
-    class and their compared fields are equal, and a record hashes as the
-    tuple of those fields. `replace` builds a changed copy through __init__,
-    so it runs the checks again. No attribute can be set or deleted. There
-    are no __slots__: cached properties and `_make` use the instance
-    __dict__. A record class derives from `Record` and from no other record
-    class, and has at least one field; else it raises TypeError.
+    and a field assigned in the class body takes that value as its default.
+    Two class keywords set fields apart: `derived` fields are left out of
+    __init__ and set by the class's `_post_init`, and `hidden` fields are
+    left out of repr(), equality and the hash. __init__ takes the other
+    fields by position or keyword, stores each, and then calls
+    `_post_init()` where the class defines one, to check or derive fields.
+    `_make`, called on the class, takes every field, derived and hidden ones
+    too, by position or keyword with the same defaults, and stores them as
+    they are, with no checks and no `_post_init`: it builds the package's
+    results, whose fields are already worked out. Records are equal where
+    they are of one class and their compared fields are equal, and a record
+    hashes as the tuple of those fields. `replace` builds a changed copy
+    through __init__, so it runs the checks again. No attribute can be set
+    or deleted. Each field is a slot, so a record has no instance __dict__,
+    except that a class with `_cached` properties keeps their values, and
+    nothing else, in one; vars() lists no field, and `asdict` does. A copy
+    or pickle is rebuilt through `_make` from the fields alone, so it
+    carries no cached value. A record class derives from `Record` and from
+    no other record class, and has at least one field; else it raises
+    TypeError.
     """
-
-    def __init_subclass__(cls, derived=(), hidden=(), **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # a class reads only its own annotations, so a record subclass would
-        # lose the fields it inherits
-        if any(base is not Record and issubclass(base, Record)
-               for base in cls.__bases__):
-            raise TypeError(f"record class {cls.__qualname__} cannot "
-                            "subclass another record class")
-        cls._fields = tuple(cls.__annotations__)
-        if not cls._fields:
-            raise TypeError(f"record class {cls.__qualname__} has no field")
-        cls._compared = tuple(n for n in cls._fields if n not in hidden)
-        # the fields that __init__ takes, and so `replace` copies
-        cls.__match_args__ = tuple(n for n in cls._fields if n not in derived)
-        cls.__init__, cls._make = _record_builders(cls)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecordError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default reduction would restore the slots through the
+        # raising __setattr__
+        return self.__class__._make, tuple([getattr(self, name)
+                                            for name in self._fields])
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -157,35 +207,44 @@ class Record:
         return self.__class__(**kwargs)
 
 
-def _record_builders(cls):
+def _record_builders(cls, defaults):
     # __init__ and `_make`, written out for each class in one exec, as
     # dataclasses writes __init__, so that a record builds as fast: __init__
-    # makes one object.__setattr__ per field and no argument loop, and
-    # `_make` fills every field, in declaration order, with one keyword
-    # `__dict__.update(...)`; stores made one key at a time would leave a
-    # split-key __dict__, on which field reads are slower. A default is the
-    # class attribute of its field. `_make` is a plain function, not a
-    # staticmethod: called on the class it takes no self, and CPython 3.11
-    # caches the load of a function class attribute but not of a
-    # staticmethod.
+    # makes one object.__setattr__ per field and no argument loop. `_make`
+    # builds an instance of the class's open twin, a subclass with the same
+    # slots whose __setattr__ and __delattr__ are object's, so that each
+    # field is one plain slot store, in declaration order, and then moves
+    # the instance to the class by assigning __class__. The twin must take
+    # both from object: one Python-level method of the pair sends every
+    # store down the slow generic path. It is made by type.__new__, which
+    # skips the subclass check of `_RecordType`, and never reaches a
+    # caller. `_make` is a plain function, not a staticmethod: called on
+    # the class it takes no self, and CPython 3.11 caches the load of a
+    # function class attribute but not of a staticmethod.
     def params(names):
-        return ", ".join(f"{name}=_cls.{name}" if name in vars(cls) else name
-                         for name in names)
+        return ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults
+                         else name for name in names)
 
+    twin = type.__new__(type(cls), cls.__name__, (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__, "__module__": cls.__module__,
+        "__qualname__": f"{cls.__qualname__}._open"})
     names, every = cls.__match_args__, cls._fields
     source = [f"def __init__(self, {params(names)}):",
               *(f"    _set(self, {name!r}, {name})" for name in names)]
     if hasattr(cls, "_post_init"):
         source.append("    self._post_init()")
-    stored = ", ".join(f"{name}={name}" for name in every)
-    source += [f"def _make({params(every)}):", "    self = _new(_cls)",
-               f"    self.__dict__.update({stored})", "    return self"]
+    source += [f"def _make({params(every)}):", "    self = _new(_twin)",
+               *(f"    self.{name} = {name}" for name in every),
+               "    self.__class__ = _cls", "    return self"]
     namespace = {"_set": object.__setattr__, "_new": object.__new__,
-                 "_cls": cls}
+                 "_cls": cls, "_twin": twin, "_defaults": defaults}
     exec("\n".join(source), namespace)
     init, make = namespace["__init__"], namespace["_make"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    make.__qualname__ = f"{cls.__qualname__}._make"
+    for function in (init, make):
+        # pickle finds `_make` by its module and qualified name
+        function.__module__ = cls.__module__
+        function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
     return init, make
 
 
@@ -198,26 +257,6 @@ def asdict(record) -> dict:
     """A record's fields by name, in order. The dict is flat: a field that
     holds a record, such as a `SweepSpec`'s base, keeps that record."""
     return {name: getattr(record, name) for name in record._fields}
-
-
-class _cached:
-    """A cached property: the getter runs on the first read, and its value
-    is stored under the getter's name with object.__setattr__, as the
-    record __init__ stores a field, so later reads find it in the instance
-    and skip the getter. functools.cached_property stores through
-    `instance.__dict__` instead, which on CPython 3.11 turns the instance's
-    inline attribute values into a dict and slows every later field read
-    several times over."""
-
-    def __init__(self, getter) -> None:
-        self.getter, self.name = getter, getter.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.getter(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
 
 
 class CavityParams(Record):

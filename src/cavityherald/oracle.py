@@ -19,7 +19,11 @@ report for the command-line `verify` subcommand.
 
 import math
 
-import numpy as np
+try:
+    import numpy as np
+except ModuleNotFoundError as exc:  # numpy is the optional extra `verify`
+    raise ImportError("the oracle needs numpy: "
+                      "pip install 'cavityherald[verify]'") from exc
 
 from . import protocol
 from .core import (

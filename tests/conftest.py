@@ -1,4 +1,5 @@
-"""The one in-process runner of the CLI that the tests share."""
+"""What the tests share: the one in-process runner of the CLI, and the
+stored state of a record."""
 
 import contextlib
 import io
@@ -18,3 +19,13 @@ def run_cli(*args):
     return types.SimpleNamespace(exit_code=code, stdout=out.getvalue(),
                                  stderr=err.getvalue(),
                                  output=out.getvalue() + err.getvalue())
+
+
+def state(record):
+    """What a record instance stores, by name, as vars() listed it before
+    records had slots: each filled slot in layout order, then each cached
+    value in the instance __dict__, where its class has one."""
+    stored = {name: getattr(record, name) for name in type(record).__slots__
+              if name != "__dict__" and hasattr(record, name)}
+    stored.update(getattr(record, "__dict__", {}))
+    return stored

@@ -868,6 +868,36 @@ def test_commands_but_verify_run_without_numpy():
         assert output == run_cli(*args).output, args
 
 
+_NO_NUMPY_HINT = ("the oracle needs numpy: "
+                  "pip install 'cavityherald[verify]'")
+
+
+@pytest.mark.parametrize("flags", [[], ["--samples", "5"]])
+def test_verify_without_numpy_names_the_extra(flags):
+    # numpy is the optional extra `verify`: with none, the command is a
+    # usage error (exit 2) whose one line says what to install, and it
+    # writes no stdout; its own checks wait for the oracle
+    probe = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from cavityherald.cli import main\n"
+             "main(['verify', *sys.argv[1:]])\n")
+    proc = _run_python(probe, *flags)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"Error: {_NO_NUMPY_HINT}\n")
+
+
+def test_oracle_import_without_numpy_names_the_extra():
+    probe = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "try:\n"
+             "    import cavityherald.oracle\n"
+             "except ImportError as exc:\n"
+             "    print(type(exc).__name__, exc, sep=': ')\n")
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"ImportError: {_NO_NUMPY_HINT}\n"
+
+
 # ----------------------------------------------------- what each command loads
 
 _BASE = ["cavityherald", "cavityherald.cli", "cavityherald.core"]

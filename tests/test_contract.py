@@ -4,10 +4,11 @@ Every scheme, photon-number helper and optimizer, `false_reflection_fidelity`,
 `coherent_double_fidelity_uncorrected`, the three resonant closed forms and
 `scattering_amplitudes` run over a product of edge values; the quadrature
 and Monte Carlo oracles over a smaller one. Each call must raise ValueError
-or return a result with no NaN. An "ok" outcome has P_s and F in [0, 1] and
-an "undefined" one has no F; an "ok" optimizer row has 0 <= P_s <= 1 and
-sits on its floor, and an infeasible row holds no answer. The defects the
-walk found are pinned by name after it, against 50-digit mpmath values.
+or return a result with no NaN, and a record result must be of its public
+class. An "ok" outcome has P_s and F in [0, 1] and an "undefined" one has
+no F; an "ok" optimizer row has 0 <= P_s <= 1 and sits on its floor, and
+an infeasible row holds no answer. The defects the walk found are pinned
+by name after it, against 50-digit mpmath values.
 """
 
 import itertools
@@ -18,16 +19,23 @@ import pytest
 from cavityherald.core import (
     X_MAX,
     CavityParams,
+    Record,
+    SpectrumPoint,
     reflection_probability,
     scattering_amplitudes,
     scattering_loss,
     transmission_probability,
 )
-from cavityherald.optimize import STATUS_INFEASIBLE, Scheme
+from cavityherald.optimize import (
+    STATUS_INFEASIBLE,
+    OptimizationResult,
+    Scheme,
+)
 from cavityherald.oracle import monte_carlo_double, quadrature_single
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
+    SchemeOutcome,
     coherent_conditional_fidelity,
     coherent_conditional_population,
     coherent_double_fidelity_uncorrected,
@@ -35,7 +43,7 @@ from cavityherald.protocol import (
     false_reflection_fidelity,
     first_click_density,
 )
-from conftest import run_cli
+from conftest import run_cli, state
 
 _TINY = 5e-324
 _XS = (0.0, _TINY, 1e-300, 3e-163, 1e-100, 1e-81, 1e-12, 0.3, 1.0, 1e12,
@@ -70,7 +78,7 @@ def _floats(result):
         return [result]
     if isinstance(result, complex):
         return [result.real, result.imag]
-    return [v for field in vars(result).values() for v in _floats(field)]
+    return [v for field in state(result).values() for v in _floats(field)]
 
 
 def _outcome_fault(out):
@@ -98,9 +106,15 @@ def _in_unit(value):
     return None if value is None or 0.0 <= value <= 1.0 else "outside [0, 1]"
 
 
+# the record classes a public function returns; `_make` builds a private
+# twin of each, which must never reach a caller
+_RESULT_TYPES = (SchemeOutcome, OptimizationResult, SpectrumPoint)
+
+
 def _walk(calls):
     """Run fn(*args) for every (fn, args, check); return the faults: any
-    exception but ValueError, any NaN, and whatever check(result) says."""
+    exception but ValueError, any NaN, a record of a class that is not
+    public, and whatever check(result) says."""
     faults = []
     for fn, args, check in calls:
         try:
@@ -112,6 +126,8 @@ def _walk(calls):
             continue
         if any(math.isnan(v) for v in _floats(result)):
             faults.append((fn.__name__, args, "NaN"))
+        elif isinstance(result, Record) and type(result) not in _RESULT_TYPES:
+            faults.append((fn.__name__, args, f"a {type(result)!r}"))
         elif check is not None and (fault := check(result)):
             faults.append((fn.__name__, args, fault))
     return faults

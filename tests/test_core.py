@@ -22,6 +22,7 @@ from cavityherald.core import (
     transmission_probability,
     with_cooperativity,
 )
+from conftest import state
 
 # strategies shared below: cooperativity spans weak to absurdly strong coupling
 xs = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -213,8 +214,8 @@ def test_spectrum_points_match_the_public_constructor():
             point = scattering_amplitudes(params, omega, n)
             rebuilt = SpectrumPoint(omega=point.omega, r=point.r, t=point.t)
             assert type(point) is SpectrumPoint
-            assert list(vars(point)) == names
-            assert vars(point) == vars(rebuilt)
+            assert list(state(point)) == names
+            assert state(point) == state(rebuilt)
             assert point == rebuilt
             assert hash(point) == hash(rebuilt)
             assert repr(point) == repr(rebuilt)

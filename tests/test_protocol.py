@@ -40,6 +40,7 @@ from cavityherald.protocol import (
     fock_single,
     initial_populations,
 )
+from conftest import state
 
 P1 = CavityParams.from_cooperativity(1.0)
 
@@ -510,10 +511,10 @@ def test_outcomes_match_the_public_constructor(evaluate, params):
     if evaluate is not fock_double:  # the only scheme that models f
         params = params.replace(f=0.0)
     out = evaluate(params)
-    rebuilt = SchemeOutcome(**vars(out))
+    rebuilt = SchemeOutcome(**state(out))
     assert type(out) is SchemeOutcome
-    assert list(vars(out)) == list(fields(out))
-    assert vars(out) == vars(rebuilt)
+    assert list(state(out)) == list(fields(out))
+    assert state(out) == state(rebuilt)
     assert out == rebuilt
     assert hash(out) == hash(rebuilt)
     assert repr(out) == repr(rebuilt)
@@ -546,8 +547,8 @@ def test_rates_reject_unmodelled_sets_on_every_call(params):
         with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
             params._rates
     # a getter that raises keeps nothing on the instance
-    assert "_rates" not in vars(params)
-    assert "_mirror_rates" not in vars(params)
+    assert "_rates" not in state(params)
+    assert "_mirror_rates" not in state(params)
 
 
 def _closed_form_rates(x):

@@ -1,15 +1,17 @@
 """The record contract of the package's result and parameter types.
 
 `core.Record` gives every type its construction, comparison, printing,
-copying and freezing. The repr() strings below were captured from the
-dataclass implementation these records replace, so printing is pinned byte
-for byte; `SweepSpec` has since gained its last field, `base`, and the
-ratio forms of `protocol` have since moved the last digit of a few of the
-numbers that the outcome and row entries hold.
+copying, freezing and slotted layout. The repr() strings below were
+captured from the dataclass implementation these records replace, so
+printing is pinned byte for byte; `SweepSpec` has since gained its last
+field, `base`, and the ratio forms of `protocol` have since moved the last
+digit of a few of the numbers that the outcome and row entries hold.
 """
 
 import copy
+import dis
 import pickle
+import sys
 
 import pytest
 
@@ -31,7 +33,7 @@ from cavityherald.optimize import (
     optimize_fock_double,
     optimize_fock_single,
 )
-from cavityherald.oracle import build_system
+from cavityherald.oracle import LindbladSystem, build_system
 from cavityherald.protocol import (
     Preparation,
     SchemeOutcome,
@@ -39,6 +41,7 @@ from cavityherald.protocol import (
     fock_single,
     initial_populations,
 )
+from conftest import state
 
 P1 = CavityParams.from_cooperativity(1.0)
 _HIDDEN = ("n_evals", "budget_capped")
@@ -150,7 +153,7 @@ def test_records_of_another_class_are_never_equal():
 def test_fields_asdict_and_match_args(record):
     names = fields(record)
     assert names == fields(type(record))
-    assert list(vars(record))[:len(names)] == list(names)
+    assert list(state(record))[:len(names)] == list(names)
     assert asdict(record) == {name: getattr(record, name) for name in names}
     assert list(asdict(record)) == list(names)
     # __init__ and `match` take every field but the derived ones, in order
@@ -158,7 +161,7 @@ def test_fields_asdict_and_match_args(record):
         name for name in names if name not in ("R", "T", "loss"))
     positional = type(record)(*(getattr(record, name)
                                 for name in record.__match_args__))
-    assert vars(positional) == vars(_rebuilt(record))
+    assert state(positional) == state(_rebuilt(record))
 
 
 @pytest.mark.parametrize("record", _ONLY, ids=_IDS)
@@ -166,7 +169,7 @@ def test_pickle_and_copy_round_trips(record):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                  copy.deepcopy(record)):
         assert type(twin) is type(record)
-        assert vars(twin) == vars(record)
+        assert state(twin) == state(record)
         assert twin == record and hash(twin) == hash(record)
         assert repr(twin) == repr(record)
         with pytest.raises(FrozenRecordError):
@@ -176,14 +179,14 @@ def test_pickle_and_copy_round_trips(record):
 @pytest.mark.parametrize("record", _ONLY, ids=_IDS)
 def test_setting_or_deleting_an_attribute_raises(record):
     name = fields(record)[0]
-    before = vars(record).copy()
+    before = state(record).copy()
     with pytest.raises(FrozenRecordError, match="cannot assign to field"):
         setattr(record, name, 0.0)
     with pytest.raises(FrozenRecordError, match="cannot assign to field"):
         record.brand_new = 1
     with pytest.raises(FrozenRecordError, match="cannot delete field"):
         delattr(record, name)
-    assert vars(record) == before
+    assert state(record) == before
     assert issubclass(FrozenRecordError, AttributeError)
     with pytest.raises(AttributeError):
         setattr(record, name, 0.0)
@@ -193,13 +196,13 @@ def test_setting_or_deleting_an_attribute_raises(record):
 def test_replace_copies_through_the_constructor(record):
     same = record.replace()
     assert same is not record and same == record
-    assert vars(same) == vars(_rebuilt(record))
+    assert state(same) == state(_rebuilt(record))
     # a new first field that the type's checks accept
     name = record.__match_args__[0]
     value = {CavityParams: 2.0, SweepSpec: (0.25,)}.get(type(record))
     changed = record.replace(**{name: value})
     assert getattr(changed, name) == value and changed != record
-    assert vars(changed) == {**vars(same), name: value}
+    assert state(changed) == {**state(same), name: value}
     with pytest.raises(TypeError):
         record.replace(no_such_field=1.0)
 
@@ -251,14 +254,15 @@ def test_cached_rates_stay_out_of_equality_repr_and_copies():
     params = CavityParams.from_cooperativity(0.3, eta=0.9)
     text, key = repr(params), hash(params)
     params._rates, params._amplitude_terms
-    assert {"_rates", "_mirror_rates", "_amplitude_terms"} <= set(vars(params))
+    assert {"_rates", "_mirror_rates",
+            "_amplitude_terms"} <= set(state(params))
     assert (repr(params), hash(params)) == (text, key)
     assert params == CavityParams.from_cooperativity(0.3, eta=0.9)
     assert list(asdict(params)) == list(fields(params))
     for copied in (params.replace(), params.replace(eta=0.5)):
         assert not {"_rates", "_mirror_rates", "_amplitude_terms"} & set(
-            vars(copied))
-        assert list(vars(copied)) == list(fields(copied))
+            state(copied))
+        assert list(state(copied)) == list(fields(copied))
 
 
 class _Counted(Record):
@@ -279,10 +283,10 @@ def test_cached_property_computes_once_per_instance():
     first, second = _Counted(1.5), _Counted(1.5)
     assert (first._twice, first._twice, first._twice) == (3.0, 3.0, 3.0)
     assert _Counted.runs == [1.5]
-    assert vars(first) == {"x": 1.5, "_twice": 3.0}
+    assert state(first) == {"x": 1.5, "_twice": 3.0}
     assert second._twice == 3.0 and _Counted.runs == [1.5, 1.5]
     # the cache belongs to the instance, not the class or a copy
-    assert "_twice" not in vars(first.replace())
+    assert "_twice" not in state(first.replace())
     assert isinstance(_Counted._twice, _cached)
 
 
@@ -293,7 +297,7 @@ def test_cached_property_whose_getter_raises_raises_on_every_read():
         with pytest.raises(ValueError, match="negative"):
             bad._twice
     assert _Counted.runs == [-1.0] * 3
-    assert vars(bad) == {"x": -1.0}
+    assert state(bad) == {"x": -1.0}
 
 
 def test_cached_rates_leave_repr_equality_hash_replace_and_pickle():
@@ -301,10 +305,10 @@ def test_cached_rates_leave_repr_equality_hash_replace_and_pickle():
     read = CavityParams.from_cooperativity(0.3, eta=0.9)
     read._rates, read._ratios, read._amplitude_terms
     assert {"_mirror_rates", "_rates", "_ratios",
-            "_amplitude_terms"} <= set(vars(read))
+            "_amplitude_terms"} <= set(state(read))
     assert repr(read) == repr(fresh) and hash(read) == hash(fresh)
     assert read == fresh and fresh == read
-    assert vars(read.replace()) == vars(fresh)
+    assert state(read.replace()) == state(fresh)
     for params in (fresh, read):
         again = pickle.loads(pickle.dumps(params))
         assert again == params and repr(again) == repr(params)
@@ -317,7 +321,7 @@ def test_cached_rates_leave_repr_equality_hash_replace_and_pickle():
 def test_positional_and_keyword_construction_agree():
     by_position = CavityParams(0.5, 0.5, 0.5)
     by_keyword = CavityParams(g=0.5, kappa_a=0.5, kappa_b=0.5)
-    assert vars(by_position) == vars(by_keyword)
+    assert state(by_position) == state(by_keyword)
     assert by_position.gamma == 1.0 and by_position.kappa_tilde == 0.0
     with pytest.raises(TypeError):
         CavityParams(0.5, 0.5)
@@ -356,6 +360,125 @@ def test_a_record_class_with_no_field_raises_type_error():
     with pytest.raises(TypeError, match=r"\.E has no field"):
         class E(Record):
             pass
+
+
+# the public record classes; `_make` builds an instance of a private twin of
+# each, which must never reach a caller
+_TYPES = (CavityParams, SpectrumPoint, Preparation, SchemeOutcome,
+          OptimizationResult, SweepSpec, LindbladSystem)
+_SYSTEM = build_system(P1, 1)
+_EVERY = [*_ONLY, _SYSTEM]
+_EVERY_IDS = [*_IDS, "lindblad-system"]
+
+
+def _made(record):
+    # the same record through `_make`, from every field
+    return type(record)._make(*(getattr(record, name)
+                                for name in fields(record)))
+
+
+@pytest.mark.parametrize("record", _EVERY, ids=_EVERY_IDS)
+def test_made_and_constructed_records_have_exactly_their_class(record):
+    cls = type(record)
+    assert cls in _TYPES
+    for other in (_made(record), _rebuilt(record), record.replace()):
+        assert type(other) is cls
+
+
+@pytest.mark.parametrize("record", _EVERY, ids=_EVERY_IDS)
+def test_records_hold_their_fields_in_slots(record):
+    # a field is a slot, so a record has no instance __dict__; only a class
+    # with cached properties has one, and it holds their values alone
+    cached = {name for name, value in vars(type(record)).items()
+              if isinstance(value, _cached)}
+    assert type(record).__slots__[:len(fields(record))] == fields(record)
+    if not cached:
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(_made(record), "__dict__")
+        return
+    params = record.replace()
+    assert vars(params) == {}
+    params._rates, params._ratios, params._amplitude_terms
+    assert set(vars(params)) == cached
+
+
+def _plain(value):
+    # a field value as == compares it: an array, as a system's operators
+    # are, by its dtype, shape and bytes
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if hasattr(value, "tobytes"):
+        return value.dtype, value.shape, value.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("record", _EVERY, ids=_EVERY_IDS)
+def test_pickles_and_copies_rebuild_the_fields_alone(record):
+    # every pickle protocol, copy and deepcopy go through `_make`, so a
+    # params' cached values stay behind, and so do those of a system's
+    # params, which only the shallow copy shares
+    if isinstance(record, CavityParams):
+        record = record.replace()
+        record._rates, record._ratios, record._amplitude_terms
+    rebuilt = [*(pickle.loads(pickle.dumps(record, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+               copy.deepcopy(record)]
+    for twin in (*rebuilt, copy.copy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and repr(twin) == repr(record)
+        assert [_plain(getattr(twin, name)) for name in fields(twin)] == [
+            _plain(getattr(record, name)) for name in fields(record)]
+        if isinstance(twin, CavityParams):
+            assert vars(twin) == {}
+    for twin in rebuilt:
+        if isinstance(twin, LindbladSystem):
+            assert vars(record.params) and vars(twin.params) == {}
+
+
+_MAKE_ARGS = [
+    (SchemeOutcome, (0.25, 0.75)),
+    (SpectrumPoint, (0.3, 0.5 + 0.1j, -0.2j, 0.26, 0.04, 0.7)),
+    (OptimizationResult, (1.0, Scheme.FOCK_SINGLE, 1.0, 0.9, 0.4, None, 0.2,
+                          0.9, "ok", 12, None)),
+]
+
+
+@pytest.mark.parametrize("cls, args", _MAKE_ARGS,
+                         ids=[cls.__name__ for cls, _ in _MAKE_ARGS])
+def test_make_runs_no_python_frame_but_its_own(cls, args):
+    # its stores and the move to the class run no Python-level hook
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        made = cls._make(*args)
+    finally:
+        sys.setprofile(None)
+    assert frames == ["_make"]
+    assert type(made) is cls
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the interpreter specializes no instruction")
+@pytest.mark.parametrize("cls, args", _MAKE_ARGS,
+                         ids=[cls.__name__ for cls, _ in _MAKE_ARGS])
+def test_make_stores_each_field_as_a_plain_slot_store(cls, args):
+    # a store into a slot specializes to STORE_ATTR_SLOT only on a type
+    # whose __setattr__ and __delattr__ are both object's. A Python-level
+    # __delattr__ left on the open twin sends every store down the generic
+    # path, which made `_make` about five times slower, and which no profile
+    # hook sees, since the stores still call no Python function
+    for _ in range(100):
+        cls._make(*args)
+    stores = [ins.opname for ins in dis.get_instructions(cls._make,
+                                                         adaptive=True)
+              if ins.opname.startswith("STORE_ATTR")
+              and ins.argval in fields(cls)]
+    assert stores == ["STORE_ATTR_SLOT"] * len(fields(cls))
 
 
 def test_lindblad_system_compares_by_its_inputs():
