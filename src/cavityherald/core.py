@@ -90,33 +90,34 @@ class FrozenRecordError(AttributeError):
     """Raised on setting or deleting an attribute of a record."""
 
 
-class _cached:
-    """A cached property: the getter runs on the first read, and its value
-    is stored under the getter's name with object.__setattr__, as the
-    record __init__ stores a field, so later reads find it in the instance
-    and skip the getter. A record class with one keeps the values in an
-    instance __dict__ that holds nothing else, as its fields are slots, so
-    a cached value leaves the fields' layout, and their reads, as they
-    are."""
-
-    def __init__(self, getter) -> None:
-        self.getter, self.name = getter, getter.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.getter(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
+def _annotated_names(namespace) -> tuple[str, ...]:
+    # the names annotated in a class body, read from its namespace before
+    # the class exists. From Python 3.14 (PEP 649 and 749) the namespace
+    # holds an annotate function in place of __annotations__, unless the
+    # module defers annotations with `from __future__ import annotations`.
+    # Only the names are wanted, so the FORWARDREF format stands a proxy in
+    # for an annotation whose name is not defined yet, where the default
+    # format would raise NameError
+    if "__annotations__" in namespace:
+        return tuple(namespace["__annotations__"])
+    try:
+        import annotationlib
+    except ImportError:  # before 3.14: a body with no annotation
+        return ()
+    annotate = annotationlib.get_annotate_from_class_namespace(namespace)
+    if annotate is None:
+        return ()
+    return tuple(annotationlib.call_annotate_function(
+        annotate, annotationlib.Format.FORWARDREF))
 
 
 class _RecordType(type):
     """The metaclass of `Record`. It lays each record class out on
     __slots__ before the class exists, which `__init_subclass__` would be
-    too late for: one slot per annotated name, and a `__dict__` slot only
-    where the class has a `_cached` property, to hold its values. A field's
-    default leaves the class body, where it would clash with its slot, for
-    the builders of `_record_builders`."""
+    too late for: one slot per annotated name, a `__weakref__` slot, and a
+    `__dict__` slot only where the class has a `_cached` property, to hold
+    its values. A field's default leaves the class body, where it would
+    clash with its slot, for the builders of `_record_builders`."""
 
     def __new__(mcs, name, bases, namespace, derived=(), hidden=()):
         if not bases:  # Record itself
@@ -129,14 +130,14 @@ class _RecordType(type):
                for base in bases):
             raise TypeError(f"record class {qualname} cannot subclass "
                             "another record class")
-        fields = tuple(namespace.get("__annotations__", ()))
+        fields = _annotated_names(namespace)
         if not fields:
             raise TypeError(f"record class {qualname} has no field")
         defaults = {n: namespace.pop(n) for n in fields if n in namespace}
         if any(isinstance(v, _cached) for v in namespace.values()):
-            namespace["__slots__"] = (*fields, "__dict__")
+            namespace["__slots__"] = (*fields, "__dict__", "__weakref__")
         else:
-            namespace["__slots__"] = fields
+            namespace["__slots__"] = (*fields, "__weakref__")
         cls = super().__new__(mcs, name, bases, namespace)
         cls._fields = fields
         cls._compared = tuple(n for n in fields if n not in hidden)
@@ -257,6 +258,26 @@ def asdict(record) -> dict:
     """A record's fields by name, in order. The dict is flat: a field that
     holds a record, such as a `SweepSpec`'s base, keeps that record."""
     return {name: getattr(record, name) for name in record._fields}
+
+
+class _cached:
+    """A cached property: the getter runs on the first read, and its value
+    is stored under the getter's name with object.__setattr__, as the
+    record __init__ stores a field, so later reads find it in the instance
+    and skip the getter. A record class with one keeps the values in an
+    instance __dict__ that holds nothing else, as its fields are slots, so
+    a cached value leaves the fields' layout, and their reads, as they
+    are."""
+
+    def __init__(self, getter) -> None:
+        self.getter, self.name = getter, getter.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.getter(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 class CavityParams(Record):

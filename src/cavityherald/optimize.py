@@ -40,6 +40,7 @@ N_MAX_CEILING = 1e3  # photon-budget search cap; all exponentials saturate below
 _CONSTRAINT_TOL = 1e-9
 _FALSI_STEPS = 20  # regula falsi steps of a budget search before it bisects
 _ZERO_STEP = 1 / 256  # share of the bracket a search steps past a zero
+_TIE_ULPS = 4  # a rising grid point's excess that counts as a tie (plateau)
 
 STATUS_INFEASIBLE = "infeasible"
 _SCHEMES = {s.value: s for s in Scheme}  # a member hashes as its name
@@ -222,10 +223,14 @@ def optimize_coherent_single(params: CavityParams,
     adjacency on the slope's sign (`_search`), with the grid's slopes as the
     values at the cell's ends, and each search's answer keeps the floor the
     search took there. The best of these local maxima, the ceiling
-    N_MAX_CEILING when P* still rises there, and the best grid point, where
-    P* falls there, wins. A best grid point where P* still rises cannot be
-    the answer: a searched cell or the ceiling above it holds one at least
-    as high, which a rounding excess on P*'s plateau could otherwise beat.
+    N_MAX_CEILING when P* still rises there, and the best grid point wins.
+    Where P* still rises at the best grid point, a searched cell or the
+    ceiling above it holds one at least as high, so the grid point competes
+    only where it beats every other candidate by more than _TIE_ULPS ulps:
+    on P*'s plateau a rounding excess of an ulp or two would otherwise beat
+    the ceiling. A larger excess is kept: near f_target = 1 the sign of
+    the rise is itself rounding noise, and the searched cell can lie well
+    below the grid point.
     The row is infeasible when the outcome there has no F or misses the
     floor by more than _CONSTRAINT_TOL: where no click can occur (eta = 0
     or x_eff = 0), the search runs on the floor's limit and the closed form
@@ -287,11 +292,11 @@ def optimize_coherent_single(params: CavityParams,
     # P* rises where its rise is >= 0, so each grid cell where that stops
     # holds a local maximum, and so does the ceiling if P* still rises
     # there. P* can have two, a peak and then a plateau approached from
-    # below, so all of them compete, with the best grid point where P*
-    # falls there; where it rises, one of the others lies above it. The
-    # grid's rises are the ends of each cell's search. A search ends on the
-    # last budget where P* rose, so its floor is the one `rise` held last,
-    # or, where no step rose, the cell's lower end's
+    # below, so all of them compete, with the best grid point unless P*
+    # rises there and it wins only by rounding. The grid's rises are the
+    # ends of each cell's search. A search ends on the last budget where P*
+    # rose, so its floor is the one `rise` held last, or, where no step
+    # rose, the cell's lower end's
     rises = [r for _, _, r, _ in coarse]
     found = []
     for k in range(len(grid) - 1):
@@ -301,7 +306,8 @@ def optimize_coherent_single(params: CavityParams,
             found.append(held or (nm, coarse[k]))
     if rises[-1] >= 0.0:
         found.append((grid[-1], coarse[-1]))
-    if not rises[best] >= 0.0:
+    if not rises[best] >= 0.0 or (p_star[best] - max(c[1][1] for c in found)
+                                  > _TIE_ULPS * math.ulp(p_star[best])):
         found.append((grid[best], coarse[best]))
     nm, (t, _, _, _) = max(found, key=lambda c: c[1][1])  # first of equals
     phi = math.atan(math.sqrt(t))

@@ -26,6 +26,7 @@ def state(record):
     records had slots: each filled slot in layout order, then each cached
     value in the instance __dict__, where its class has one."""
     stored = {name: getattr(record, name) for name in type(record).__slots__
-              if name != "__dict__" and hasattr(record, name)}
+              if name not in ("__dict__", "__weakref__")
+              and hasattr(record, name)}
     stored.update(getattr(record, "__dict__", {}))
     return stored

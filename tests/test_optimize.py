@@ -31,6 +31,7 @@ from cavityherald.optimize import (
     _COARSE_GRID,
     _CONSTRAINT_TOL,
     _FALSI_STEPS,
+    _TIE_ULPS,
     N_MAX_CEILING,
     STATUS_INFEASIBLE,
     STATUS_OK,
@@ -234,6 +235,25 @@ def test_coherent_single_plateau_tie_goes_to_the_ceiling():
     assert (res.n_max_opt, res.budget_capped) == (N_MAX_CEILING, True)
     assert res.p_success == 0.4666696969849935
     assert res.fidelity_achieved >= 0.6 - _CONSTRAINT_TOL
+
+
+def test_coherent_single_keeps_a_rising_grid_point_well_above_the_rest():
+    # near F_t = 1 the sign of P*'s rise is rounding noise (the t*
+    # cancellation): P* reads as rising at the grid point n_max = 1e-5, yet
+    # the cell searched above it peaks 1.8e-9 relative lower. That is no
+    # ulp-level tie, so the grid point keeps the row, as it did before the
+    # plateau rule
+    params = CavityParams.from_cooperativity(0.002061083533205513,
+                                             eta=0.7104685329966823)
+    f_target = 0.9999999188973868
+    r1, _, lam = params._rates
+    at_grid, at_peak = (protocol._coherent_single_floor(
+        params.eta * r1, lam, params._ratios, f_target, nm)
+        for nm in (1e-5, 1.000025049284981e-05))
+    assert at_grid[2] >= 0.0 and at_peak[1] < at_grid[1] * (1 - 1e-9)
+    res = optimize_coherent_single(params, f_target)
+    assert (res.n_max_opt, res.budget_capped) == (1e-5, False)
+    assert res.p_success == 1.958004528661273e-17
 
 
 @pytest.mark.parametrize("params", [
@@ -770,7 +790,8 @@ def test_coherent_single_peak_rises_where_the_next_float_does_not(x, eta,
 def _whole_grid_coherent_single(params, f_target):
     # the coherent-single optimizer without its cuts: every point of the
     # coarse grid is evaluated, and every cell where P* stops rising is
-    # searched; the best grid point competes only where P* falls there.
+    # searched; the best grid point competes where P* falls there, or
+    # where it beats every other candidate by more than _TIE_ULPS ulps.
     # Returns the row and P* (over a = eta R1) at each grid point
     r1, _, lam = params._rates
 
@@ -792,7 +813,8 @@ def _whole_grid_coherent_single(params, f_target):
     found = [(nm, floor(nm)) for nm in peaks]
     if rises[-1] >= 0.0:
         found.append((grid[-1], coarse[-1]))
-    if not rises[best] >= 0.0:
+    if not rises[best] >= 0.0 or (p_star[best] - max(c[1][1] for c in found)
+                                  > _TIE_ULPS * math.ulp(p_star[best])):
         found.append((grid[best], coarse[best]))
     nm, (t, _, _, _) = max(found, key=lambda c: c[1][1])
     phi = math.atan(math.sqrt(t))

@@ -12,6 +12,8 @@ import copy
 import dis
 import pickle
 import sys
+import types
+import weakref
 
 import pytest
 
@@ -400,6 +402,57 @@ def test_records_hold_their_fields_in_slots(record):
     assert vars(params) == {}
     params._rates, params._ratios, params._amplitude_terms
     assert set(vars(params)) == cached
+
+
+@pytest.mark.parametrize("record", _EVERY, ids=_EVERY_IDS)
+def test_records_take_weak_references(record):
+    for one in (record, _made(record)):
+        assert weakref.ref(one)() is one
+
+
+def test_fields_come_from_an_annotate_function_in_the_class_namespace(
+        monkeypatch):
+    # from Python 3.14 a class body's namespace holds an annotate function
+    # in place of __annotations__ (PEP 649 and 749); the metaclass asks it
+    # for the names in FORWARDREF format. Before 3.14 a stand-in module
+    # gives annotationlib's two functions
+    try:
+        import annotationlib
+    except ImportError:
+        annotationlib = types.ModuleType("annotationlib")
+        annotationlib.Format = types.SimpleNamespace(FORWARDREF=3)
+        annotationlib.get_annotate_from_class_namespace = (
+            lambda namespace: namespace.get("__annotate__"))
+        annotationlib.call_annotate_function = (
+            lambda annotate, format: annotate(format))
+        monkeypatch.setitem(sys.modules, "annotationlib", annotationlib)
+    asked = []
+
+    def annotate(format):
+        asked.append(format)
+        return {"a": float, "b": float}
+
+    Lazy = type(Record)("Lazy", (Record,), {
+        "__module__": __name__, "__qualname__": "Lazy",
+        "__annotate__": annotate, "b": 2.0})
+    assert asked == [annotationlib.Format.FORWARDREF]
+    assert fields(Lazy) == ("a", "b")
+    assert asdict(Lazy(1.0)) == asdict(Lazy._make(1.0)) == {"a": 1.0, "b": 2.0}
+    assert not hasattr(Lazy(1.0), "__dict__")
+    with pytest.raises(TypeError, match="Empty has no field"):
+        type(Record)("Empty", (Record,), {"__module__": __name__,
+                                          "__qualname__": "Empty"})
+
+
+@pytest.mark.skipif(sys.version_info < (3, 14),
+                    reason="annotations are evaluated eagerly before 3.14")
+def test_a_field_may_name_a_type_defined_later():
+    class Later(Record):
+        a: Undefined  # noqa: F821
+        b: float = 2.0
+
+    assert fields(Later) == ("a", "b")
+    assert Later(1.0).b == 2.0
 
 
 def _plain(value):
