@@ -217,17 +217,20 @@ def _record_builders(cls, defaults):
     # field is one plain slot store, in declaration order, and then moves
     # the instance to the class by assigning __class__. The twin must take
     # both from object: one Python-level method of the pair sends every
-    # store down the slow generic path. It is made by type.__new__, which
-    # skips the subclass check of `_RecordType`, and never reaches a
-    # caller. `_make` is a plain function, not a staticmethod: called on
-    # the class it takes no self, and CPython 3.11 caches the load of a
-    # function class attribute but not of a staticmethod.
+    # store down the slow generic path. Its __init__ is object's too, so
+    # calling the twin builds the instance in C alone. It is made by
+    # type.__new__, which skips the subclass check of `_RecordType`, and
+    # never reaches a caller. `_make` is a plain function, not a
+    # staticmethod: called on the class it takes no self, and CPython 3.11
+    # caches the load of a function class attribute but not of a
+    # staticmethod.
     def params(names):
         return ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults
                          else name for name in names)
 
     twin = type.__new__(type(cls), cls.__name__, (cls,), {
-        "__slots__": (), "__setattr__": object.__setattr__,
+        "__slots__": (), "__init__": object.__init__,
+        "__setattr__": object.__setattr__,
         "__delattr__": object.__delattr__, "__module__": cls.__module__,
         "__qualname__": f"{cls.__qualname__}._open"})
     names, every = cls.__match_args__, cls._fields
@@ -235,11 +238,11 @@ def _record_builders(cls, defaults):
               *(f"    _set(self, {name!r}, {name})" for name in names)]
     if hasattr(cls, "_post_init"):
         source.append("    self._post_init()")
-    source += [f"def _make({params(every)}):", "    self = _new(_twin)",
+    source += [f"def _make({params(every)}):", "    self = _twin()",
                *(f"    self.{name} = {name}" for name in every),
                "    self.__class__ = _cls", "    return self"]
-    namespace = {"_set": object.__setattr__, "_new": object.__new__,
-                 "_cls": cls, "_twin": twin, "_defaults": defaults}
+    namespace = {"_set": object.__setattr__, "_cls": cls, "_twin": twin,
+                 "_defaults": defaults}
     exec("\n".join(source), namespace)
     init, make = namespace["__init__"], namespace["_make"]
     for function in (init, make):
@@ -475,7 +478,10 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     """
     if not math.isfinite(omega):
         raise ValueError(f"probe frequency must be finite, got {omega}")
-    n = _check_n(n_atoms)
+    if type(n_atoms) is int and 0 <= n_atoms <= 2 ** 53:  # as `_check_n`
+        n = n_atoms
+    else:
+        n = _check_n(n_atoms)
     half_kappa, g2, half_gamma, delta, kappa_a, root = params._amplitude_terms
     d = half_kappa - 1j * omega + n * g2 / (half_gamma + 1j * (delta - omega))
     r = 1.0 - kappa_a / d

@@ -68,17 +68,21 @@ class SchemeOutcome(Record):
 _UNDEFINED = SchemeOutcome(0.0, None, STATUS_UNDEFINED)
 
 
-def _populations(phi: float) -> tuple[float, float, float, float]:
-    # (t, p0, p1, p2): t = tan^2(phi) = 2 p2/p1 is the one number through
-    # which the populations enter a ratio, and p0 = 1/(1 + t)^2,
-    # p1 = 2t/(1 + t)^2 and p2 = t^2/(1 + t)^2 are taken from it
-    if not 0.0 <= phi <= math.pi / 2:
+_HALF_PI = math.pi / 2
+
+
+def _populations(phi: float) -> tuple[float, float, float]:
+    # (t, p1, p2): t = tan^2(phi) = 2 p2/p1 is the one number through which
+    # the populations enter a ratio, and p1 = 2t/(1 + t)^2 and
+    # p2 = t^2/(1 + t)^2 are taken from it. No closed form reads
+    # p0 = 1/(1 + t)^2, so `initial_populations` forms it
+    if not 0.0 <= phi <= _HALF_PI:
         raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
     t = math.tan(phi)
     t *= t
     v = 1.0 / (1.0 + t)
     u = t * v
-    return t, v * v, 2.0 * u * v, u * u
+    return t, 2.0 * u * v, u * u
 
 
 def _check_n_max(n_max: float) -> None:
@@ -91,7 +95,9 @@ def initial_populations(phi: float) -> Preparation:
 
     p0 = cos^4(phi), p1 = 2 sin^2(phi) cos^2(phi), p2 = sin^4(phi).
     """
-    return Preparation(phi, *_populations(phi)[1:])
+    t, p1, p2 = _populations(phi)
+    v = 1.0 / (1.0 + t)  # as `_populations` forms it
+    return Preparation(phi, v * v, p1, p2)
 
 
 def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
@@ -107,7 +113,7 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     may round to a subnormal or 0. Undefined only where no click can occur:
     eta = 0, x_eff = 0 or phi = 0.
     """
-    t, _, p1, p2 = _populations(phi)
+    t, p1, p2 = _populations(phi)
     r1, r2, lam = params._rates
     if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
@@ -204,7 +210,7 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     """
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
-    _, _, p1, p2 = _populations(phi)
+    _, p1, p2 = _populations(phi)
     r1, r2, _ = params._rates
     return params.eta * (p1 * r1 * math.exp(-params.eta * r1 * n)
                          + p2 * r2 * math.exp(-params.eta * r2 * n))
@@ -239,8 +245,9 @@ def coherent_single(params: CavityParams, phi: float,
     only P_s scales with x, and it may round to a subnormal or 0. Undefined
     only where no click can occur: eta = 0, x_eff = 0 or phi = 0.
     """
-    _check_n_max(n_max)
-    t, _, p1, p2 = _populations(phi)
+    if not 0.0 < n_max < math.inf:
+        _check_n_max(n_max)
+    t, p1, p2 = _populations(phi)
     lam = params._rates[2]
     q, _, rho_1, k = params._ratios
     if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
@@ -307,12 +314,6 @@ def _coherent_single_floor(
             pa * u * (2.0 + k_f) / ((1.0 + u) * (1.0 + u)))
 
 
-# (-1)^k (k - 1) / k! for k = 2 to 17: below z = 1/2 the terms past k = 17
-# are under 1e-17 of the sum
-_ERLANG2_SERIES = tuple((-1) ** k * (k - 1) / math.factorial(k)
-                        for k in range(2, 18))
-
-
 def _erlang2_cdf(z: float) -> float:
     """P(n1 + n2 <= z) for two unit-rate exponentials: 1 - (1 + z) e^{-z},
     for z >= 0.
@@ -333,11 +334,17 @@ def _erlang2_scaled(z: float) -> float:
     = 1/2 - z/3 + z^2/8 - ..., summed by Horner's rule.
     """
     if z < 0.5:
-        (c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16,
-         c17) = _ERLANG2_SERIES
-        return c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * (c7 + z * (
-            c8 + z * (c9 + z * (c10 + z * (c11 + z * (c12 + z * (c13 + z * (
-                c14 + z * (c15 + z * (c16 + z * c17))))))))))))))
+        # the coefficients (-1)^k (k - 1) / k! for k = 2 to 17, each the
+        # float nearest it; below z = 1/2 the terms past k = 17 are under
+        # 1e-17 of the sum
+        return 0.5 + z * (-0.3333333333333333 + z * (0.125 + z * (
+            -0.03333333333333333 + z * (0.006944444444444444 + z * (
+            -0.0011904761904761906 + z * (0.00017361111111111112 + z * (
+            -2.2045855379188714e-05 + z * (2.48015873015873e-06 + z * (
+            -2.505210838544172e-07 + z * (2.296443268665491e-08 + z * (
+            -1.9270852604185937e-09 + z * (1.4911969277048643e-10 + z * (
+            -1.0706029224547743e-11 + z * (7.169215998581078e-13 + z * (
+            -4.498331606952833e-14)))))))))))))))
     return _erlang2_cdf(z) / z / z
 
 
@@ -392,7 +399,8 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
     See `coherent_double_fidelity_uncorrected` for the variant form that
     drops the conditioning factor of 2 and can exceed 1.
     """
-    _check_n_max(n_max)
+    if not 0.0 < n_max < math.inf:
+        _check_n_max(n_max)
     lam, q = params._rates[2], params._ratios[0]
     if params.eta == 0.0 or lam == 0.0:
         return _UNDEFINED

@@ -7,13 +7,16 @@ and Monte Carlo oracles over a smaller one. Each call must raise ValueError
 or return a result with no NaN, and a record result must be of its public
 class. An "ok" outcome has P_s and F in [0, 1] and an "undefined" one has
 no F; an "ok" optimizer row has 0 <= P_s <= 1 and sits on its floor, and
-an infeasible row holds no answer. The defects the walk found are pinned
-by name after it, against 50-digit mpmath values.
+an infeasible row holds no answer. After the walk, every budget, angle
+and atom count that a public call rejects is pinned, with its message.
+The defects the walk found are pinned by name after that, against
+50-digit mpmath values.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from cavityherald.core import (
@@ -31,17 +34,25 @@ from cavityherald.optimize import (
     OptimizationResult,
     Scheme,
 )
-from cavityherald.oracle import monte_carlo_double, quadrature_single
+from cavityherald.oracle import (
+    MIN_SAMPLES,
+    build_system,
+    monte_carlo_double,
+    quadrature_single,
+)
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
     SchemeOutcome,
     coherent_conditional_fidelity,
     coherent_conditional_population,
+    coherent_double,
     coherent_double_fidelity_uncorrected,
     coherent_single,
     false_reflection_fidelity,
     first_click_density,
+    fock_single,
+    initial_populations,
 )
 from conftest import run_cli, state
 
@@ -192,6 +203,85 @@ def _oracle_calls():
 def test_oracles_keep_their_contract():
     faults = _walk(_oracle_calls())
     assert not faults, f"{len(faults)} faults, first: {faults[:5]}"
+
+
+# ------------------------------------------- what each input check takes
+
+# The walk only asks for "ValueError or a result", so a check that took
+# more than it should would still pass it. Here every public call that
+# takes a budget, an angle or an atom count rejects exactly these values,
+# each with its message, and takes the rest
+_P = CavityParams.from_cooperativity(1.0, eta=0.8)
+_N_MAX_CALLS = {
+    "coherent_single": lambda n: coherent_single(_P, 0.6, n),
+    "coherent_double": lambda n: coherent_double(_P, n),
+    "coherent_double_fidelity_uncorrected":
+        lambda n: coherent_double_fidelity_uncorrected(_P, n),
+    "quadrature_single": lambda n: quadrature_single(_P, 0.6, n),
+    "monte_carlo_double": lambda n: monte_carlo_double(_P, n, MIN_SAMPLES, 7),
+}
+_PHI_CALLS = {
+    "initial_populations": initial_populations,
+    "fock_single": lambda phi: fock_single(_P, phi),
+    "coherent_conditional_population":
+        lambda phi: coherent_conditional_population(_P, phi, 1.0),
+    "coherent_conditional_fidelity":
+        lambda phi: coherent_conditional_fidelity(_P, phi, 1.0),
+    "first_click_density": lambda phi: first_click_density(_P, phi, 1.0),
+    "coherent_single": lambda phi: coherent_single(_P, phi, 2.0),
+    "quadrature_single": lambda phi: quadrature_single(_P, phi, 2.0),
+}
+_ATOM_CALLS = {
+    "reflection_probability": lambda n: reflection_probability(1.0, n),
+    "transmission_probability": lambda n: transmission_probability(1.0, n),
+    "scattering_loss": lambda n: scattering_loss(1.0, n),
+    "scattering_amplitudes": lambda n: scattering_amplitudes(_P, 0.3, n),
+}
+_N_MAX_MESSAGE = "n_max must be positive and finite, got {}"
+_PHI_MESSAGE = "phi must lie in [0, pi/2], got {}"
+_ATOM_MESSAGE = "atom count must be a nonnegative integer, got {}"
+# (value, rejected?)
+_N_MAX_VALUES = [(math.nan, True), (math.inf, True), (-math.inf, True),
+                 (0.0, True), (-0.0, True), (-1, True), (_TINY, False),
+                 (1e308, False)]
+_PHI_VALUES = [(math.nan, True), (-_TINY, True),
+               (math.nextafter(math.pi / 2, math.inf), True), (-0.0, False),
+               (math.pi / 2, False)]
+_ATOM_VALUES = [(1.5, True), (-1, True), (10 ** 400, True), (True, False),
+                (2 ** 53, False), (2 ** 53 + 1, False),
+                (np.int64(2), False)]
+_CHECKED = [(f"{kind}-{name}-{value!r:.24}", call, value,
+             message.format(value) if rejected else None)
+            for kind, calls, values, message in (
+                ("n_max", _N_MAX_CALLS, _N_MAX_VALUES, _N_MAX_MESSAGE),
+                ("phi", _PHI_CALLS, _PHI_VALUES, _PHI_MESSAGE),
+                ("atoms", _ATOM_CALLS, _ATOM_VALUES, _ATOM_MESSAGE))
+            for name, call in calls.items() for value, rejected in values]
+
+
+@pytest.mark.parametrize("call, value, message",
+                         [case[1:] for case in _CHECKED],
+                         ids=[case[0] for case in _CHECKED])
+def test_input_checks_reject_exactly_their_values(call, value, message):
+    if message is None:  # a result, or None where no click can occur
+        call(value)
+        return
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, rejected", [
+    (1.5, True), (-1, True), (3, True), (10 ** 400, True), (2 ** 53, True),
+    (True, False), (1.0, False), (np.int64(2), False)])
+def test_build_system_takes_only_an_atom_count_of_0_1_or_2(value, rejected):
+    # the oracle's own check, narrower than the closed forms'
+    if rejected:
+        with pytest.raises(ValueError) as info:
+            build_system(_P, value, n_c=2)
+        assert str(info.value) == "n_in_state_1 must be 0, 1, or 2"
+    else:
+        assert build_system(_P, value, n_c=2).n_in_state_1 == value
 
 
 # ------------------------------------------------ defects the walk found

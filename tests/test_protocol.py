@@ -374,6 +374,9 @@ def test_erlang2_series_matches_the_horner_loop_bit_for_bit():
     zs += [0.5 * random.Random(19).random() for _ in range(20000)]
     for z in zs:
         assert _erlang2_scaled(z) == loop(z), z
+    # the higher coefficients barely move a sum below z = 1/2, so each is
+    # also found among the function's constants, the float it is written as
+    assert set(coefs) <= set(_erlang2_scaled.__code__.co_consts)
 
 
 @given(st.floats(min_value=1e-3, max_value=50.0))
