@@ -341,41 +341,36 @@ class CavityParams(Record):
     # raises keeps nothing, so a rejected set raises on every read.
 
     @_cached
-    def _mirror_rates(self) -> tuple[float, float, float]:
-        # (R1, R2, lambda1) at the effective cooperativity, for the closed
-        # forms of `protocol`, which hold for symmetric mirrors on resonance
-        # only
+    def _resonance(self) -> tuple[float, ...]:
+        # the resonant terms of every closed form of `protocol`, which hold
+        # for symmetric mirrors on resonance only, at the effective
+        # cooperativity x: (R1, R2, lambda1, q, rho, rho - 1, a/lambda).
+        # q = 4x/(1 + 4x) is the square root of R1; rho = R2/R1 =
+        # 4((1 + 4x)/(1 + 8x))^2 lies in [1, 4], and rho - 1 =
+        # (3 + 16x)/(1 + 8x)^2 is written so that it does not cancel;
+        # a/lambda = eta R1/lambda = 2 eta x. Where x is a normal float so
+        # are the last four, while R1 and R2 underflow below x ~ 1e-154, so
+        # the closed forms take every ratio from these
         if self.kappa_a != self.kappa_b or self.delta != 0.0:
             raise ValueError("the schemes model symmetric mirrors on "
                              "resonance only: kappa_a must equal kappa_b and "
                              "delta be 0")
         x = effective_cooperativity_ring(self)
+        c = 4.0 * x
         return (reflection_probability(x, 1), reflection_probability(x, 2),
-                scattering_loss(x, 1))
+                scattering_loss(x, 1), c / (1.0 + c),
+                4.0 * ((1.0 + c) / (1.0 + 2.0 * c)) ** 2,
+                (3.0 + 4.0 * c) / (1.0 + 2.0 * c) ** 2, 0.5 * self.eta * c)
 
     @_cached
-    def _rates(self) -> tuple[float, float, float]:
-        # `_mirror_rates` for every closed form that leaves spurious
-        # reflection out, which rejects f > 0 instead of dropping it; only
-        # `fock_double` and `false_reflection_fidelity` model f
+    def _rates(self) -> tuple[float, ...]:
+        # `_resonance` for every closed form that leaves spurious reflection
+        # out, which rejects f > 0 instead of dropping it; only `fock_double`
+        # and `false_reflection_fidelity` model f, and read `_resonance`
         if self.f > 0.0:
             raise ValueError("only fock-double models a spurious-reflection "
                              f"fraction f > 0, got f = {self.f}")
-        return self._mirror_rates
-
-    @_cached
-    def _ratios(self) -> tuple[float, float, float, float]:
-        # (q, rho, rho - 1, a/lambda) at the effective cooperativity, with
-        # the checks of `_mirror_rates`: q = 4x/(1 + 4x) is the square root
-        # of R1; rho = R2/R1 = 4((1 + 4x)/(1 + 8x))^2 lies in [1, 4], and
-        # rho - 1 = (3 + 16x)/(1 + 8x)^2 is written so that it does not
-        # cancel; a/lambda = eta R1/lambda = 2 eta x. Where x is a normal
-        # float so are all four, while R1 and R2 underflow below x ~ 1e-154,
-        # so the closed forms take every ratio from these
-        self._mirror_rates
-        c = 4.0 * effective_cooperativity_ring(self)
-        return (c / (1.0 + c), 4.0 * ((1.0 + c) / (1.0 + 2.0 * c)) ** 2,
-                (3.0 + 4.0 * c) / (1.0 + 2.0 * c) ** 2, 0.5 * self.eta * c)
+        return self._resonance
 
     @_cached
     def _amplitude_terms(self) -> tuple[float, ...]:

@@ -170,7 +170,9 @@ def optimize_fock_single(params: CavityParams,
     float at every x, so the angle keeps its digits where R1 underflows.
     """
     _check_target(f_target)
-    tan2 = 2.0 / params._ratios[1] * (1.0 - f_target) / f_target
+    # `_resonance`, not `_rates`: `fock_single` rejects f > 0 below, after
+    # the check of mirrors and detuning
+    tan2 = 2.0 / params._resonance[4] * (1.0 - f_target) / f_target
     phi = math.atan(math.sqrt(tan2))
     return _result(params, Scheme.FOCK_SINGLE, f_target, 1,
                    protocol.fock_single(params, phi), phi)
@@ -240,19 +242,18 @@ def optimize_coherent_single(params: CavityParams,
     # the rates are fixed for the row, so each step evaluates only the
     # closed form itself
     floor = protocol._coherent_single_floor
-    r1, _, lam = params._rates
-    a = params.eta * r1
-    ratios = params._ratios
+    terms = params._rates
+    a = params.eta * terms[0]
     grid = _COARSE_GRID
     coarse = [None] * len(grid)  # grid index -> (t*, P*/a, rise, cap)
     low, top = 0, len(grid)  # the whole grid, unless cut
     if f_target <= 1.0 - 1e-12:
-        coarse[0] = cur = floor(a, lam, ratios, f_target, grid[0])
+        coarse[0] = cur = floor(a, terms, f_target, grid[0])
         if cur[1] > 0.0:
             # upper cut: `top` is the first grid point with P* = 0
             while top - low > 1:
                 mid = (low + top) // 2
-                coarse[mid] = cur = floor(a, lam, ratios, f_target, grid[mid])
+                coarse[mid] = cur = floor(a, terms, f_target, grid[mid])
                 if cur[1] > 0.0:
                     low = mid
                 else:
@@ -265,13 +266,12 @@ def optimize_coherent_single(params: CavityParams,
                 low -= 1
                 cur = coarse[low]
                 if cur is None:
-                    coarse[low] = cur = floor(a, lam, ratios, f_target,
-                                              grid[low])
+                    coarse[low] = cur = floor(a, terms, f_target, grid[low])
                 high = max(high, cur[1])
     top = min(top + 1, len(grid))
     for k in range(low, top):
         if coarse[k] is None:
-            coarse[k] = floor(a, lam, ratios, f_target, grid[k])
+            coarse[k] = floor(a, terms, f_target, grid[k])
     n_evals = len(grid) - coarse.count(None)
     coarse = coarse[low:top]
     grid = grid[low:top]
@@ -284,7 +284,7 @@ def optimize_coherent_single(params: CavityParams,
     def rise(nm: float) -> float:
         nonlocal n_evals, held
         n_evals += 1
-        cur = floor(a, lam, ratios, f_target, nm)
+        cur = floor(a, terms, f_target, nm)
         if cur[2] >= 0.0:
             held = nm, cur
         return cur[2]
@@ -329,15 +329,15 @@ def optimize_coherent_double(params: CavityParams,
     """
     _check_target(f_target)
     terms = protocol._double_click_terms
-    eta, lam, q = params.eta, params._rates[2], params._ratios[0]
+    _, _, lam, q, _, _, _ = params._rates
+    eta = params.eta
     n_evals = 0
 
     def margin(nm: float) -> float:
-        # F - f_target, whose sign is exact; a n as `coherent_double` forms it
+        # F - f_target, whose sign is exact
         nonlocal n_evals
         n_evals += 1
-        an = eta * nm * q * q
-        return 0.5 + terms(an, an + lam * nm)[1] - f_target
+        return 0.5 + terms(eta, q, lam, nm)[1] - f_target
 
     lo, hi = 1e-9, N_MAX_CEILING
     v_lo = margin(lo)

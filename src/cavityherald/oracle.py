@@ -314,7 +314,7 @@ def quadrature_single(params: CavityParams, phi: float,
     """
     protocol._check_n_max(n_max)
     prep = protocol.initial_populations(phi)
-    r1, r2, lam = params._rates
+    r1, r2, lam = params._rates[:3]
     edges = [0.0]
     while edges[-1] < n_max:
         edges.append(min(4.0 * edges[-1] + 1.0, n_max))
@@ -357,7 +357,7 @@ def monte_carlo_double(params: CavityParams, n_max: float, samples: int,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     protocol._check_n_max(n_max)
 
-    r1, r2, lam = params._rates
+    r1, r2, lam = params._rates[:3]
     rates = params.eta * np.array([0.0, r1, r2])
 
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ everywhere but in `fock_double` and `false_reflection_fidelity`.
 
 Each closed form is one expression in ratios that are normal floats for
 every accepted input: rho = R2/R1 and a/lambda, taken from x (the set's
-`_ratios`), the scaled click probability E1(z) = (1 - e^{-z})/z and the
+`_resonance`), the scaled click probability E1(z) = (1 - e^{-z})/z and the
 scaled Erlang-2 CDF. So F keeps its digits where R1 = 16 x^2 or eta R1
 underflows, and only P_s scales with x and may round to a subnormal or 0.
 An outcome is "undefined" only where no click can occur in exact
@@ -114,10 +114,10 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
     eta = 0, x_eff = 0 or phi = 0.
     """
     t, p1, p2 = _populations(phi)
-    r1, r2, lam = params._rates
+    r1, r2, lam, _, rho, _, _ = params._rates
     if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
-    fid = 1.0 / (1.0 + 0.5 * t * params._ratios[1])
+    fid = 1.0 / (1.0 + 0.5 * t * rho)
     return SchemeOutcome._make(params.eta * (p1 * r1 + p2 * r2), fid,
                               STATUS_OK, fid, fid / 2.0)
 
@@ -132,7 +132,7 @@ def fock_double(params: CavityParams) -> SchemeOutcome:
     fraction params.f, 1 at f = 0, while P_s keeps its ideal-model form. F
     is undefined where no click can occur: eta = 0, or x_eff = 0 at f = 0.
     """
-    r1, _, lam = params._mirror_rates
+    r1, _, lam, _, _, _, _ = params._resonance
     if params.eta == 0.0 or (lam == 0.0 and params.f == 0.0):
         return _UNDEFINED
     fid = false_reflection_fidelity(params, params.f)
@@ -155,7 +155,7 @@ def false_reflection_fidelity(params: CavityParams, f: float) -> float:
     """
     if not 0.0 <= f < 1.0:
         raise ValueError("f must lie in [0, 1)")
-    q, _, rho_1, _ = params._ratios
+    _, _, _, q, _, rho_1, _ = params._resonance
     s = q + f
     if s == 0.0:
         raise ValueError("no click can occur: x = 0 at f = 0")
@@ -180,8 +180,7 @@ def coherent_conditional_population(params: CavityParams, phi: float,
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
     t = _populations(phi)[0]
-    _, _, lam = params._rates
-    q, rho, rho_1, _ = params._ratios
+    _, _, lam, q, rho, rho_1, _ = params._rates
     if lam == 0.0 or phi == 0.0:
         return None
     an = params.eta * n * q * q
@@ -198,7 +197,7 @@ def coherent_conditional_fidelity(params: CavityParams, phi: float,
     p1c = coherent_conditional_population(params, phi, n)
     if p1c is None:
         return None
-    _, _, lam = params._rates
+    lam = params._rates[2]
     return p1c * (1.0 + math.exp(-lam * n)) / 2.0
 
 
@@ -211,7 +210,7 @@ def first_click_density(params: CavityParams, phi: float, n: float) -> float:
     if not 0.0 <= n < math.inf:
         raise ValueError(f"n must be nonnegative and finite, got {n}")
     _, p1, p2 = _populations(phi)
-    r1, r2, _ = params._rates
+    r1, r2 = params._rates[:2]
     return params.eta * (p1 * r1 * math.exp(-params.eta * r1 * n)
                          + p2 * r2 * math.exp(-params.eta * r2 * n))
 
@@ -248,8 +247,7 @@ def coherent_single(params: CavityParams, phi: float,
     if not 0.0 < n_max < math.inf:
         _check_n_max(n_max)
     t, p1, p2 = _populations(phi)
-    lam = params._rates[2]
-    q, _, rho_1, k = params._ratios
+    _, _, lam, q, _, rho_1, k = params._rates
     if params.eta == 0.0 or lam == 0.0 or phi == 0.0:
         return _UNDEFINED
     an = params.eta * n_max * q * q
@@ -266,11 +264,11 @@ def coherent_single(params: CavityParams, phi: float,
 
 
 def _coherent_single_floor(
-        a: float, lam: float, ratios: tuple[float, float, float, float],
-        f_target: float, n_max: float) -> tuple[float, float, float, float]:
+        a: float, terms: tuple[float, ...], f_target: float,
+        n_max: float) -> tuple[float, float, float, float]:
     # (t*, P*/a, rise, cap) of `coherent_single` on the floor F = f_target,
-    # with t = tan^2(phi), click rate a = eta R1, lam and the set's
-    # `_ratios`, unvalidated; P* is P_s on the floor, the rise is
+    # with t = tan^2(phi), click rate a = eta R1 and the set's `_resonance`
+    # terms, unvalidated; P* is P_s on the floor, the rise is
     # (dP*/dn_max)/a where P* > 0, else -inf, so it is >= 0 exactly where
     # P* rises, and cap is a bound on P*/a that rises in n_max, inf where
     # P* = 0 (see `optimize.optimize_coherent_single`). All are over a, so
@@ -283,7 +281,7 @@ def _coherent_single_floor(
     # 2A (1 + t (B/A - 1)) / (1 + t)^3 and B >= A), so the best angle at
     # budget n sits on the floor, t* = ((1 + C/A)/f_target - 2) / (B/A). P*
     # is 0 where no angle meets the floor (t* <= 0).
-    _, rho, rho_1, k = ratios
+    _, _, lam, _, rho, rho_1, k = terms
     an = a * n_max
     bn, ln = rho_1 * an, lam * n_max  # (b - a) n and lambda n
     click1, gap, decay = -math.expm1(-an), -math.expm1(-bn), -math.expm1(-ln)
@@ -348,14 +346,19 @@ def _erlang2_scaled(z: float) -> float:
     return _erlang2_cdf(z) / z / z
 
 
-def _double_click_terms(an: float, bn: float) -> tuple[float, float]:
-    # (P_s, Re xi = F - 1/2) of `coherent_double` at a n and b n =
-    # (a + lam) n, unvalidated: P_s = E2(a n) / 2, and Re xi =
+def _double_click_terms(eta: float, q: float, lam: float,
+                        n_max: float) -> tuple[float, float]:
+    # (P_s, Re xi = F - 1/2) of `coherent_double` at detector efficiency
+    # eta, q = sqrt(R1) and lam, unvalidated. a n = eta n_max R1 is
+    # multiplied from n_max down, so that no factor underflows before the
+    # product does, and b n = (a + lam) n. P_s = E2(a n) / 2, and Re xi =
     # S(b n) / (2 S(a n)), taken as W(b n) / (2 W(a n)) times
     # ((1 + a n)/(1 + b n))^2 with W(z) = S(z) (1 + z)^2 = E2(z) ((1 + z)/z)^2,
     # S = `_erlang2_scaled`. W rises from 1/2 at z = 0 toward 1, so it is a
     # normal float at every z, where E2 underflows below z ~ 1e-154 and S
     # above z ~ 1e154; so the terms keep their digits at every budget
+    an = eta * n_max * q * q
+    bn = an + lam * n_max
     if an < 0.5:
         s, u = _erlang2_scaled(an), 1.0 + an
         e2, w = s * an * an, s * (u * u)
@@ -390,22 +393,19 @@ def coherent_double(params: CavityParams, n_max: float) -> SchemeOutcome:
           = 1/2 + a^2 (1 - (1 + (a+lambda) n_max) e^{-(a+lambda) n_max})
                   / (4 (a + lambda)^2 P_s),
 
-    with F taken in the scale-free form of `_double_click_terms` and
-    a n = eta n_max R1 multiplied from n_max down, so that no factor
-    underflows before the product does. So only P_s scales with x, and it
-    may round to a subnormal or 0. Undefined only where no click can occur:
-    eta = 0 or x_eff = 0.
+    with F taken in the scale-free form of `_double_click_terms`. So only
+    P_s scales with x, and it may round to a subnormal or 0. Undefined only
+    where no click can occur: eta = 0 or x_eff = 0.
 
     See `coherent_double_fidelity_uncorrected` for the variant form that
     drops the conditioning factor of 2 and can exceed 1.
     """
     if not 0.0 < n_max < math.inf:
         _check_n_max(n_max)
-    lam, q = params._rates[2], params._ratios[0]
+    _, _, lam, q, _, _, _ = params._rates
     if params.eta == 0.0 or lam == 0.0:
         return _UNDEFINED
-    an = params.eta * n_max * q * q
-    ps, re_xi = _double_click_terms(an, an + lam * n_max)
+    ps, re_xi = _double_click_terms(params.eta, q, lam, n_max)
     fid = 0.5 + re_xi
     return SchemeOutcome._make(ps, fid, STATUS_OK, 1.0, fid - 0.5)
 

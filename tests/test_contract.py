@@ -304,7 +304,7 @@ def test_false_reflection_fidelity_survives_underflowing_terms(x, f, exact):
 def test_false_reflection_fidelity_is_one_at_f_zero_wherever_r1_is_positive(x):
     # fock_double takes its F at every f, so at f = 0 it must stay exactly 1
     params = CavityParams.from_cooperativity(x)
-    assert params._mirror_rates[0] > 0.0
+    assert params._resonance[0] > 0.0
     assert false_reflection_fidelity(params, 0.0) == 1.0
 
 

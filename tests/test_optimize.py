@@ -112,7 +112,7 @@ def test_fock_single_row_sits_on_the_floor_at_every_scale(log_x, f_target,
     params = CavityParams.from_cooperativity(10.0 ** log_x, eta=eta,
                                              **ring_mode)
     res = optimize_fock_single(params, f_target)
-    r1, _, _ = params._rates
+    r1 = params._rates[0]
     if eta == 0.0:  # nothing clicks
         assert res.status == STATUS_INFEASIBLE
         return
@@ -227,9 +227,9 @@ def test_coherent_single_plateau_tie_goes_to_the_ceiling():
     # n_max = 100 it rounds one ulp above its value at the ceiling; a grid
     # point where P* still rises cannot be the answer, so the row is capped
     params = CavityParams.from_cooperativity(0.36443299649401517)
-    r1, _, lam = params._rates
+    terms = params._rates
     at_100, at_ceiling = (protocol._coherent_single_floor(
-        r1, lam, params._ratios, 0.6, nm) for nm in (100.0, N_MAX_CEILING))
+        terms[0], terms, 0.6, nm) for nm in (100.0, N_MAX_CEILING))
     assert at_100[2] >= 0.0 and at_100[1] > at_ceiling[1]
     res = optimize_coherent_single(params, 0.6)
     assert (res.n_max_opt, res.budget_capped) == (N_MAX_CEILING, True)
@@ -246,9 +246,9 @@ def test_coherent_single_keeps_a_rising_grid_point_well_above_the_rest():
     params = CavityParams.from_cooperativity(0.002061083533205513,
                                              eta=0.7104685329966823)
     f_target = 0.9999999188973868
-    r1, _, lam = params._rates
+    terms = params._rates
     at_grid, at_peak = (protocol._coherent_single_floor(
-        params.eta * r1, lam, params._ratios, f_target, nm)
+        params.eta * terms[0], terms, f_target, nm)
         for nm in (1e-5, 1.000025049284981e-05))
     assert at_grid[2] >= 0.0 and at_peak[1] < at_grid[1] * (1 - 1e-9)
     res = optimize_coherent_single(params, f_target)
@@ -289,9 +289,10 @@ def _params(x, eta, ring):
 def test_floor_angle_puts_fidelity_on_the_floor(x, eta, ring, f_target,
                                                 n_max):
     params = _params(x, eta, ring)
-    r1, _, lam = params._rates
+    terms = params._rates
+    r1 = terms[0]
     t, ps, _, _ = protocol._coherent_single_floor(
-        eta * r1, lam, params._ratios, f_target, n_max)
+        eta * r1, terms, f_target, n_max)
     if t > 0.0:
         out = coherent_single(params, math.atan(math.sqrt(t)), n_max)
         assert abs(out.fidelity - f_target) < 1e-13
@@ -310,9 +311,9 @@ def test_floor_angle_tends_to_the_fock_single_angle(x, eta, ring, f_target):
     # as n_max -> 0 every click comes before any decoherence, so the floor
     # angle is the Fock-single one, tan^2(phi) = 2 (R1/R2) (1 - F) / F
     params = _params(x, eta, ring)
-    r1, r2, lam = params._rates
-    t = protocol._coherent_single_floor(eta * r1, lam, params._ratios,
-                                        f_target, 1e-12)[0]
+    terms = params._rates
+    r1, r2 = terms[:2]
+    t = protocol._coherent_single_floor(eta * r1, terms, f_target, 1e-12)[0]
     fock = 2.0 * (r1 / r2) * (1.0 - f_target) / f_target
     assert math.isclose(t, fock, rel_tol=1e-9)
     fock_phi = optimize_fock_single(params, f_target).phi_opt
@@ -776,11 +777,11 @@ def test_coherent_single_peak_rises_where_the_next_float_does_not(x, eta,
     res = optimize_coherent_single(params, f_target)
     if res.status != STATUS_OK or res.n_max_opt in _COARSE_GRID:
         return
-    r1, _, lam = params._rates
+    terms = params._rates
 
     def rises(nm):
         _, ps, slope, _ = protocol._coherent_single_floor(
-            eta * r1, lam, params._ratios, f_target, nm)
+            eta * terms[0], terms, f_target, nm)
         return ps > 0.0 and slope >= 0.0
 
     assert rises(res.n_max_opt)
@@ -793,11 +794,11 @@ def _whole_grid_coherent_single(params, f_target):
     # searched; the best grid point competes where P* falls there, or
     # where it beats every other candidate by more than _TIE_ULPS ulps.
     # Returns the row and P* (over a = eta R1) at each grid point
-    r1, _, lam = params._rates
+    terms = params._rates
 
     def floor(nm):
         return protocol._coherent_single_floor(
-            params.eta * r1, lam, params._ratios, f_target, nm)
+            params.eta * terms[0], terms, f_target, nm)
 
     grid = _COARSE_GRID
     coarse = [floor(nm) for nm in grid]
@@ -865,16 +866,16 @@ def test_coherent_single_cap_bounds_p_star_at_and_below_its_budget(name):
     feasible = above_one = 0
     for x, eta, ring, f_target in _CAP_CORPUS[name]:
         params = _params(x, eta, ring)
-        r1, _, lam = params._rates
+        terms = params._rates
         best = 0.0  # the largest P* at or below the budget
         for nm in _COARSE_GRID:
             t, ps, _, cap = protocol._coherent_single_floor(
-                eta * r1, lam, params._ratios, f_target, nm)
+                eta * terms[0], terms, f_target, nm)
             if ps > 0.0:
                 best = max(best, ps)
                 tol = 4 * sys.float_info.epsilon / (1.0 - f_target)
                 assert cap * (1.0 + tol) >= best, (x, eta, ring, f_target, nm)
-                assert cap < params._ratios[1] * nm
+                assert cap < terms[4] * nm
                 feasible += 1
                 above_one += t > 1.0  # so u >= t* > 1
     assert feasible > 0
@@ -919,10 +920,10 @@ def test_coherent_single_cuts_skip_only_points_that_cannot_win(x, eta, ring,
     if res.status == STATUS_OK:
         # the floor's P* is over a = eta R1, so it keeps its digits where
         # P_s rounds to a subnormal or 0
-        r1, _, lam = params._rates
-        a = params.eta * r1
+        terms = params._rates
+        a = params.eta * terms[0]
         best = protocol._coherent_single_floor(
-            a, lam, params._ratios, f_target, res.n_max_opt)[1]
+            a, terms, f_target, res.n_max_opt)[1]
         assert all(ps < best for ps in skipped)
         if res.p_success >= sys.float_info.min:
             assert all(ps * a < res.p_success for ps in skipped)
@@ -1183,6 +1184,18 @@ def test_optimizers_reject_asymmetric_or_detuned_cavities(scheme, params,
     if params is _SPURIOUS and scheme is Scheme.FOCK_DOUBLE:  # models f
         assert optimize(params, scheme, 0.7).status == STATUS_OK
         return
+    with pytest.raises(ValueError, match=match):
+        optimize(params, scheme, 0.9)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_optimizers_reject_an_asymmetric_set_with_f_by_their_first_check(
+        scheme):
+    # the Fock rows check the mirrors first, the coherent rows the f
+    params = CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8, f=0.2)
+    match = ("symmetric mirrors on resonance"
+             if scheme in (Scheme.FOCK_SINGLE, Scheme.FOCK_DOUBLE)
+             else "only fock-double models")
     with pytest.raises(ValueError, match=match):
         optimize(params, scheme, 0.9)
 

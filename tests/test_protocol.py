@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityherald import core
 from cavityherald.core import (
     CavityParams,
     FrozenRecordError,
@@ -26,6 +27,7 @@ from cavityherald.core import (
 from cavityherald.protocol import (
     STATUS_OK,
     STATUS_UNDEFINED,
+    Scheme,
     SchemeOutcome,
     _erlang2_cdf,
     _erlang2_scaled,
@@ -118,7 +120,7 @@ def test_fock_single_fidelity_survives_an_underflowing_two_atom_term():
     # x, where F = p1 R1 / (p1 R1 + p2 R2) rounds to 1
     f_target = 1.0 - 1e-9
     params = CavityParams.from_cooperativity(1e-154)
-    r1, r2, _ = params._rates
+    r1, r2 = params._rates[:2]
     phi = math.atan(math.sqrt(2.0 * (r1 / r2) * (1.0 - f_target) / f_target))
     out = fock_single(params, phi)
     assert abs(out.fidelity - f_target) <= 4 * math.ulp(f_target)
@@ -129,7 +131,7 @@ def test_fock_single_fidelity_keeps_its_digits_where_only_two_atoms_reflect():
     # F = 1 / (1 + tan^2(phi) rho / 2) takes rho = R2/R1 from x; 60-digit
     # mpmath value
     params = CavityParams.from_cooperativity(3e-163)
-    r1, r2, _ = params._rates
+    r1, r2 = params._rates[:2]
     assert r1 == 0.0 < r2
     out = fock_single(params, 1.2)
     assert out.status == STATUS_OK
@@ -551,7 +553,7 @@ def test_rates_reject_unmodelled_sets_on_every_call(params):
             params._rates
     # a getter that raises keeps nothing on the instance
     assert "_rates" not in state(params)
-    assert "_mirror_rates" not in state(params)
+    assert "_resonance" not in state(params)
 
 
 def _closed_form_rates(x):
@@ -561,17 +563,59 @@ def _closed_form_rates(x):
 
 def test_copies_of_params_get_fresh_rates():
     params = CavityParams.from_cooperativity(1.0, eta=0.7)
-    assert params._rates == _closed_form_rates(1.0)
-    assert with_cooperativity(params, 0.25)._rates == _closed_form_rates(
+    assert params._rates[:3] == _closed_form_rates(1.0)
+    assert with_cooperativity(params, 0.25)._rates[:3] == _closed_form_rates(
         0.25)
     # a matched ring mode: x_eff = x / (1 + 4 x) = 0.2
     ring = params.replace(g_tilde=1.0, kappa_tilde=1.0)
-    assert ring._rates == _closed_form_rates(0.2)
+    assert ring._rates[:3] == _closed_form_rates(0.2)
     with pytest.raises(ValueError, match="symmetric mirrors on resonance"):
         params.replace(delta=1.0)._rates
-    assert params._rates == _closed_form_rates(1.0)
+    assert params._rates[:3] == _closed_form_rates(1.0)
     assert fock_single(params, 0.7) == fock_single(
         CavityParams.from_cooperativity(1.0, eta=0.7), 0.7)
+
+
+def test_rates_are_the_resonant_terms_where_f_is_zero():
+    params = CavityParams.from_cooperativity(0.3, eta=0.9)
+    assert params._rates is params._resonance
+    assert len(params._resonance) == 7
+    spurious = params.replace(f=0.2)
+    assert spurious._resonance == params._resonance
+    with pytest.raises(ValueError, match="only fock-double models"):
+        spurious._rates
+
+
+def test_resonant_terms_are_derived_once_per_set(monkeypatch):
+    # every closed form and optimizer reads one cached tuple, so the
+    # effective cooperativity is worked out once per parameter set
+    calls = []
+    inner = core.effective_cooperativity_ring
+
+    def counted(params):
+        calls.append(params)
+        return inner(params)
+
+    monkeypatch.setattr(core, "effective_cooperativity_ring", counted)
+    params = CavityParams.from_cooperativity(0.8, eta=0.7, g_tilde=0.4,
+                                             kappa_tilde=1.5)
+    for read in _READERS.values():
+        read(params)
+    for scheme in Scheme:
+        scheme.optimizer(params, 0.9)
+    assert calls == [params]
+
+
+@pytest.mark.parametrize("name", _READERS)
+def test_asymmetric_set_with_f_keeps_its_message(name):
+    # the readers that model f check the mirrors alone; every other reader
+    # rejects the f first
+    params = CavityParams(g=1.0, kappa_a=0.2, kappa_b=0.8, f=0.2)
+    match = ("symmetric mirrors on resonance"
+             if name in ("fock_double", "false_reflection_fidelity")
+             else "only fock-double models")
+    with pytest.raises(ValueError, match=match):
+        _READERS[name](params)
 
 
 def test_reading_rates_leaves_params_equality_hash_and_repr():

@@ -256,13 +256,13 @@ def test_cached_rates_stay_out_of_equality_repr_and_copies():
     params = CavityParams.from_cooperativity(0.3, eta=0.9)
     text, key = repr(params), hash(params)
     params._rates, params._amplitude_terms
-    assert {"_rates", "_mirror_rates",
+    assert {"_rates", "_resonance",
             "_amplitude_terms"} <= set(state(params))
     assert (repr(params), hash(params)) == (text, key)
     assert params == CavityParams.from_cooperativity(0.3, eta=0.9)
     assert list(asdict(params)) == list(fields(params))
     for copied in (params.replace(), params.replace(eta=0.5)):
-        assert not {"_rates", "_mirror_rates", "_amplitude_terms"} & set(
+        assert not {"_rates", "_resonance", "_amplitude_terms"} & set(
             state(copied))
         assert list(state(copied)) == list(fields(copied))
 
@@ -305,19 +305,18 @@ def test_cached_property_whose_getter_raises_raises_on_every_read():
 def test_cached_rates_leave_repr_equality_hash_replace_and_pickle():
     fresh = CavityParams.from_cooperativity(0.3, eta=0.9)
     read = CavityParams.from_cooperativity(0.3, eta=0.9)
-    read._rates, read._ratios, read._amplitude_terms
-    assert {"_mirror_rates", "_rates", "_ratios",
-            "_amplitude_terms"} <= set(state(read))
+    read._rates, read._resonance, read._amplitude_terms
+    assert {"_resonance", "_rates", "_amplitude_terms"} <= set(state(read))
     assert repr(read) == repr(fresh) and hash(read) == hash(fresh)
     assert read == fresh and fresh == read
     assert state(read.replace()) == state(fresh)
     for params in (fresh, read):
         again = pickle.loads(pickle.dumps(params))
         assert again == params and repr(again) == repr(params)
-        assert again._ratios == read._ratios
+        assert again._resonance == read._resonance
     # a cached value is still not an attribute that can be set
     with pytest.raises(FrozenRecordError):
-        read._ratios = (0.0, 1.0, 0.0, 0.0)
+        read._resonance = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_positional_and_keyword_construction_agree():
@@ -400,7 +399,7 @@ def test_records_hold_their_fields_in_slots(record):
         return
     params = record.replace()
     assert vars(params) == {}
-    params._rates, params._ratios, params._amplitude_terms
+    params._rates, params._resonance, params._amplitude_terms
     assert set(vars(params)) == cached
 
 
@@ -472,7 +471,7 @@ def test_pickles_and_copies_rebuild_the_fields_alone(record):
     # params, which only the shallow copy shares
     if isinstance(record, CavityParams):
         record = record.replace()
-        record._rates, record._ratios, record._amplitude_terms
+        record._rates, record._resonance, record._amplitude_terms
     rebuilt = [*(pickle.loads(pickle.dumps(record, protocol))
                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
                copy.deepcopy(record)]
