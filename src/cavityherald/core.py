@@ -114,12 +114,13 @@ def _annotated_names(namespace) -> tuple[str, ...]:
 class _RecordType(type):
     """The metaclass of `Record`. It lays each record class out on
     __slots__ before the class exists, which `__init_subclass__` would be
-    too late for: one slot per annotated name, a `__weakref__` slot, and a
-    `__dict__` slot only where the class has a `_cached` property, to hold
-    its values. A field's default leaves the class body, where it would
-    clash with its slot, for the builders of `_record_builders`."""
+    too late for: one slot per field, a `__weakref__` slot, and a `__dict__`
+    slot only where the class has a `_cached` property, to hold its values.
+    The fields, which are also __match_args__, are the annotated names. A
+    field's default leaves the class body, where it would clash with its
+    slot, for the builders of `_record_builders`."""
 
-    def __new__(mcs, name, bases, namespace, derived=(), hidden=()):
+    def __new__(mcs, name, bases, namespace, hidden=()):
         if not bases:  # Record itself
             return super().__new__(mcs, name, bases,
                                    {**namespace, "__slots__": ()})
@@ -139,10 +140,8 @@ class _RecordType(type):
         else:
             namespace["__slots__"] = (*fields, "__weakref__")
         cls = super().__new__(mcs, name, bases, namespace)
-        cls._fields = fields
+        cls._fields = cls.__match_args__ = fields
         cls._compared = tuple(n for n in fields if n not in hidden)
-        # the fields that __init__ takes, and so `replace` copies
-        cls.__match_args__ = tuple(n for n in fields if n not in derived)
         cls.__init__, cls._make = _record_builders(cls, defaults)
         return cls
 
@@ -152,25 +151,22 @@ class Record(metaclass=_RecordType):
 
     A record's fields are the names annotated in its class body, in order,
     and a field assigned in the class body takes that value as its default.
-    Two class keywords set fields apart: `derived` fields are left out of
-    __init__ and set by the class's `_post_init`, and `hidden` fields are
-    left out of repr(), equality and the hash. __init__ takes the other
-    fields by position or keyword, stores each, and then calls
-    `_post_init()` where the class defines one, to check or derive fields.
-    `_make`, called on the class, takes every field, derived and hidden ones
-    too, by position or keyword with the same defaults, and stores them as
-    they are, with no checks and no `_post_init`: it builds the package's
-    results, whose fields are already worked out. Records are equal where
-    they are of one class and their compared fields are equal, and a record
-    hashes as the tuple of those fields. `replace` builds a changed copy
-    through __init__, so it runs the checks again. No attribute can be set
-    or deleted. Each field is a slot, so a record has no instance __dict__,
-    except that a class with `_cached` properties keeps their values, and
-    nothing else, in one; vars() lists no field, and `asdict` does. A copy
-    or pickle is rebuilt through `_make` from the fields alone, so it
-    carries no cached value. A record class derives from `Record` and from
-    no other record class, and has at least one field; else it raises
-    TypeError.
+    The class keyword `hidden` leaves the fields it names out of repr(),
+    equality and the hash. __init__ takes every field by position or
+    keyword, stores each, and then calls `_post_init()` where the class
+    defines one, to check the fields. `_make`, called on the class, takes
+    the same arguments and stores them as they are, with no checks and no
+    `_post_init`: it builds the package's results, whose fields are already
+    worked out. Records are equal where they are of one class and their
+    compared fields are equal, and a record hashes as the tuple of those
+    fields. `replace` builds a changed copy through __init__, so it runs the
+    checks again. No attribute can be set or deleted. Each field is a slot,
+    so a record has no instance __dict__, except that a class with `_cached`
+    properties keeps their values, and nothing else, in one; vars() lists no
+    field, and `asdict` does. A copy or pickle is rebuilt through `_make`
+    from the fields alone, so it carries no cached value. A record class
+    derives from `Record` and from no other record class, and has at least
+    one field; else it raises TypeError.
     """
 
     def __setattr__(self, name: str, value) -> None:
@@ -203,7 +199,7 @@ class Record(metaclass=_RecordType):
 
     def replace(self, **changes):
         """A copy with `changes` to its fields, built by __init__."""
-        kwargs = {name: getattr(self, name) for name in self.__match_args__}
+        kwargs = {name: getattr(self, name) for name in self._fields}
         kwargs.update(changes)
         return self.__class__(**kwargs)
 
@@ -224,22 +220,20 @@ def _record_builders(cls, defaults):
     # staticmethod: called on the class it takes no self, and CPython 3.11
     # caches the load of a function class attribute but not of a
     # staticmethod.
-    def params(names):
-        return ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults
-                         else name for name in names)
-
     twin = type.__new__(type(cls), cls.__name__, (cls,), {
         "__slots__": (), "__init__": object.__init__,
         "__setattr__": object.__setattr__,
         "__delattr__": object.__delattr__, "__module__": cls.__module__,
         "__qualname__": f"{cls.__qualname__}._open"})
-    names, every = cls.__match_args__, cls._fields
-    source = [f"def __init__(self, {params(names)}):",
+    names = cls._fields
+    signature = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults
+                          else name for name in names)
+    source = [f"def __init__(self, {signature}):",
               *(f"    _set(self, {name!r}, {name})" for name in names)]
     if hasattr(cls, "_post_init"):
         source.append("    self._post_init()")
-    source += [f"def _make({params(every)}):", "    self = _twin()",
-               *(f"    self.{name} = {name}" for name in every),
+    source += [f"def _make({signature}):", "    self = _twin()",
+               *(f"    self.{name} = {name}" for name in names),
                "    self.__class__ = _cls", "    return self"]
     namespace = {"_set": object.__setattr__, "_cls": cls, "_twin": twin,
                  "_defaults": defaults}
@@ -418,18 +412,10 @@ class CavityParams(Record):
                    **kwargs)
 
 
-def _probabilities(r: complex, t: complex) -> tuple[float, float, float]:
-    # (R, T, loss) of amplitudes r and t
-    R = abs(r) ** 2
-    T = abs(t) ** 2
-    return R, T, 1.0 - R - T
-
-
-class SpectrumPoint(Record, derived=("R", "T", "loss")):
-    """Complex scattering amplitudes and probabilities at one probe frequency.
-
-    `loss` is the spontaneous-scattering probability 1 - R - T.
-    """
+class SpectrumPoint(Record):
+    """Complex scattering amplitudes and probabilities at one probe frequency,
+    all six formed by `scattering_amplitudes`: R = |r|^2, T = |t|^2 and the
+    spontaneous-scattering probability `loss` = 1 - R - T."""
 
     omega: float
     r: complex
@@ -437,11 +423,6 @@ class SpectrumPoint(Record, derived=("R", "T", "loss")):
     R: float
     T: float
     loss: float
-
-    def _post_init(self) -> None:
-        for name, value in zip(("R", "T", "loss"),
-                               _probabilities(self.r, self.t)):
-            object.__setattr__(self, name, value)
 
 
 def scattering_amplitudes(params: CavityParams, omega: float,
@@ -481,7 +462,8 @@ def scattering_amplitudes(params: CavityParams, omega: float,
     d = half_kappa - 1j * omega + n * g2 / (half_gamma + 1j * (delta - omega))
     r = 1.0 - kappa_a / d
     t = -root / d
-    R, T, loss = _probabilities(r, t)
+    R, T = abs(r) ** 2, abs(t) ** 2
+    loss = 1.0 - R - T
     if not math.isfinite(loss):
         raise ValueError(f"the amplitudes overflow at N = {n_atoms}, "
                          f"g = {params.g}, omega = {omega}")

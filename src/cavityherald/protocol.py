@@ -125,19 +125,23 @@ def fock_single(params: CavityParams, phi: float) -> SchemeOutcome:
 def fock_double(params: CavityParams) -> SchemeOutcome:
     """Two-round Fock scheme: click, swap |0> <-> |1>, click again.
 
-    Preparation is fixed at phi = pi/4. Only the single-excitation sector can
-    reflect in both rounds (the swap maps N to 2 - N and R0 = 0), so
-    P_s = eta^2 R1^2 / 2 and the heralded state is pure: F = 1 for an ideal
-    mirror. F is `false_reflection_fidelity` at every spurious-reflection
-    fraction params.f, 1 at f = 0, while P_s keeps its ideal-model form. F
-    is undefined where no click can occur: eta = 0, or x_eff = 0 at f = 0.
+    At phi = pi/4 the sectors N = 0, 1 and 2 have weights 1/4, 1/2 and 1/4,
+    the swap maps N to 2 - N, and a round clicks with probability eta c_N,
+    c_N = R_N (1 - f) + f at the spurious-reflection fraction f = params.f
+    (c0 = f). The heralds are the pairs whose two rounds both click, so
+    P_s = (eta c1)^2 / 2 + eta^2 f c2 / 2, the last term from sectors 0 and
+    2, and F = c1^2 / (c1^2 + f c2) is `false_reflection_fidelity`; at
+    f = 0, P_s = eta^2 R1^2 / 2 and F = 1 exactly. Undefined where no click
+    can occur: eta = 0, or x_eff = 0 at f = 0.
     """
-    r1, _, lam, _, _, _, _ = params._resonance
-    if params.eta == 0.0 or (lam == 0.0 and params.f == 0.0):
+    r1, r2, lam, _, _, _, _ = params._resonance
+    eta, f = params.eta, params.f
+    if eta == 0.0 or (lam == 0.0 and f == 0.0):
         return _UNDEFINED
-    fid = false_reflection_fidelity(params, params.f)
-    return SchemeOutcome._make(0.5 * (params.eta * r1) ** 2, fid, STATUS_OK,
-                              1.0, fid - 0.5)
+    fid = false_reflection_fidelity(params, f)
+    c1, c2 = r1 * (1.0 - f) + f, r2 * (1.0 - f) + f
+    p = 0.5 * (eta * c1) ** 2 + 0.5 * eta * eta * f * c2
+    return SchemeOutcome._make(p, fid, STATUS_OK, 1.0, fid - 0.5)
 
 
 def false_reflection_fidelity(params: CavityParams, f: float) -> float:
@@ -254,7 +258,11 @@ def coherent_single(params: CavityParams, phi: float,
     bn, ln = rho_1 * an, lam * n_max  # (b - a) n and lambda n
     click1, gap = -math.expm1(-an), -math.expm1(-bn)  # B = A + e^{-a n} gap
     inv = an / click1 if an else 1.0  # 1 / E1(a n)
-    e = 1.0 - click1  # e^{-a n}, as accurately as B/A and C/A need it
+    # e^{-a n}, as accurately as B/A and C/A need it, and from click1, not
+    # math.exp(-an), so that P_s never falls as n_max rises: math.exp made
+    # it fall one ulp from n_max = 89.49674265472468 to 92.86915327781848 at
+    # x, eta, phi = 1.2916107868734101, 0.5741460199173644, 1.2249436589680924
+    e = 1.0 - click1
     b_a = 1.0 + e * rho_1 * (gap / bn if bn else 1.0) * inv
     c_a = (k + e * (-math.expm1(-ln) / ln if ln else 1.0) * inv) / (k + 1.0)
     p1c = 1.0 / (1.0 + 0.5 * t * b_a)
@@ -286,6 +294,9 @@ def _coherent_single_floor(
     bn, ln = rho_1 * an, lam * n_max  # (b - a) n and lambda n
     click1, gap, decay = -math.expm1(-an), -math.expm1(-bn), -math.expm1(-ln)
     inv = an / click1 if an else 1.0  # 1 / E1(a n)
+    # the slope needs e^{-a n} to full relative precision where the clicks
+    # saturate, which 1 - click1, as `coherent_single` forms it, is not: at
+    # a n = 30 it keeps only about 3 digits
     d1 = math.exp(-an)
     # B/A - 1 and C/A as in `coherent_single`
     extra = d1 * rho_1 * (gap / bn if bn else 1.0) * inv

@@ -14,6 +14,7 @@ from cavityherald.core import (
     FrozenRecordError,
     SpectrumPoint,
     _check_n,
+    asdict,
     effective_cooperativity_ring,
     fields,
     reflection_probability,
@@ -208,26 +209,35 @@ def test_spectrum_symmetric_in_omega_without_detuning():
 
 def test_spectrum_points_match_the_public_constructor():
     names = list(fields(SpectrumPoint))
+    assert names == ["omega", "r", "t", "R", "T", "loss"]
     params = CavityParams(g=0.9, kappa_a=0.3, kappa_b=0.7, delta=0.4)
     for n in (0, 1, 2):
         for omega in (-3.0, 0.0, 1.5):
             point = scattering_amplitudes(params, omega, n)
-            rebuilt = SpectrumPoint(omega=point.omega, r=point.r, t=point.t)
+            rebuilt = SpectrumPoint(**asdict(point))
             assert type(point) is SpectrumPoint
             assert list(state(point)) == names
             assert state(point) == state(rebuilt)
             assert point == rebuilt
             assert hash(point) == hash(rebuilt)
             assert repr(point) == repr(rebuilt)
+            assert SpectrumPoint(*(asdict(point).values())) == point
+    # R, T and loss are fields that the caller passes, not worked out
+    with pytest.raises(TypeError):
+        SpectrumPoint(0.0, 1.0 + 0j, 0.0 + 0j)
 
 
 def test_spectrum_points_stay_frozen_and_replaceable():
     point = scattering_amplitudes(CavityParams.from_cooperativity(1.0), 0.0, 1)
     with pytest.raises(FrozenRecordError):
         point.R = 0.5
-    # R, T and loss are not init fields: replace() recomputes them
+    # replace() stores what it is given and works nothing out again
     moved = point.replace(r=0.6 + 0j, t=-0.2 + 0j)
-    assert (moved.R, moved.T, moved.loss) == (0.36, point.T, 0.6)
+    assert (moved.r, moved.t) == (0.6 + 0j, -0.2 + 0j)
+    assert (moved.R, moved.T, moved.loss) == (point.R, point.T, point.loss)
+    moved = point.replace(R=0.5, T=0.25, loss=0.125)
+    assert (moved.omega, moved.r, moved.t) == (point.omega, point.r, point.t)
+    assert (moved.R, moved.T, moved.loss) == (0.5, 0.25, 0.125)
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])

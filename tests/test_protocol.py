@@ -196,9 +196,39 @@ def test_fock_double_reports_false_reflection_fidelity():
     p = CavityParams.from_cooperativity(1.0, f=0.01)
     out = fock_double(p)
     assert out.fidelity == false_reflection_fidelity(p, 0.01)
-    # the spurious reflection heralds extra events but the quoted success
-    # probability keeps the ideal-click form
-    assert math.isclose(out.p_success, 0.2048, rel_tol=1e-12)
+    # P_s counts the pairs that the spurious reflection heralds, which F
+    # counts too: (c1^2 + f c2) / 2 from 50-digit mpmath, where it was
+    # R1^2 / 2 = 0.2048 when it left them out
+    assert math.isclose(out.p_success, 0.21107159111111111124,
+                        rel_tol=1e-15)
+
+
+def _fock_double_by_sectors(params):
+    # (P_s, F) of the two rounds, sector by sector: at phi = pi/4 the
+    # sectors N = 0, 1 and 2 have weights 1/4, 1/2 and 1/4, the swap maps N
+    # to 2 - N, and a round clicks with probability eta c_N; only N = 1
+    # heralds the entangled state
+    x, eta, f = core.effective_cooperativity_ring(params), params.eta, params.f
+    c = [reflection_probability(x, n) * (1.0 - f) + f for n in range(3)]
+    both = [w * (eta * c[n]) * (eta * c[2 - n])
+            for n, w in enumerate((0.25, 0.5, 0.25))]
+    return sum(both), both[1] / sum(both)
+
+
+@pytest.mark.parametrize("f", [0.0, 1e-9, 0.01, 0.05, 0.5, 0.99])
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+def test_fock_double_counts_every_sector_that_clicks_twice(eta, f):
+    xs = [0.0, 1e-3, 0.05, 0.7, 1.0, 3.0, 1e3, 1e8]
+    rng = random.Random(5)
+    xs += [10.0 ** rng.uniform(-4.0, 4.0) for _ in range(20)]
+    for x in xs:
+        if x == 0.0 and f == 0.0:  # nothing clicks
+            continue
+        params = CavityParams.from_cooperativity(x, eta=eta, f=f)
+        out = fock_double(params)
+        want_p, want_f = _fock_double_by_sectors(params)
+        assert abs(out.p_success - want_p) <= 6 * math.ulp(want_p), x
+        assert abs(out.fidelity - want_f) <= 6 * math.ulp(want_f), x
 
 
 # ------------------------------------------------------------ coherent single
@@ -259,7 +289,29 @@ def test_conditional_helpers_undefined_without_clicks(n):
 def test_coherent_single_success_monotone_in_budget(phi, n):
     small = coherent_single(P1, phi, n)
     large = coherent_single(P1, phi, n * 1.3)
-    assert large.p_success >= small.p_success - 1e-14
+    assert large.p_success >= small.p_success
+
+
+def test_success_never_falls_as_the_budget_rises():
+    # to the last bit, as the benchmark's point-scan check asks, on
+    # log-spaced budget scans. The first set and the budget grid 1e-2..1e2
+    # are where taking e^{-a n} of `coherent_single` from math.exp(-a n),
+    # instead of as 1 minus the click probability, made P_s fall by one ulp
+    # between n_max = 89.49674265472468 and 92.86915327781848
+    rng = random.Random(11)
+    sets = [(1.2916107868734101, 0.5741460199173644, 1.2249436589680924)]
+    sets += [(10.0 ** rng.uniform(-4.0, 3.0), rng.uniform(0.01, 1.0),
+              rng.uniform(0.0, math.pi / 2)) for _ in range(100)]
+    grids = [[10.0 ** y for y in core._linspace(lo, lo + 4.0, 250)]
+             for lo in (-2.0, -4.0, 0.0)]
+    assert grids[0][246:248] == [89.49674265472468, 92.86915327781848]
+    for k, (x, eta, phi) in enumerate(sets):
+        params = CavityParams.from_cooperativity(x, eta=eta)
+        budgets = grids[k % 3]
+        for curve in ([coherent_single(params, phi, n) for n in budgets],
+                      [coherent_double(params, n) for n in budgets]):
+            p_s = [out.p_success for out in curve]
+            assert all(a <= b for a, b in zip(p_s, p_s[1:])), (x, eta, phi)
 
 
 @given(angles)

@@ -158,9 +158,8 @@ def test_fields_asdict_and_match_args(record):
     assert list(state(record))[:len(names)] == list(names)
     assert asdict(record) == {name: getattr(record, name) for name in names}
     assert list(asdict(record)) == list(names)
-    # __init__ and `match` take every field but the derived ones, in order
-    assert record.__match_args__ == tuple(
-        name for name in names if name not in ("R", "T", "loss"))
+    # __init__ and `match` take every field, in order
+    assert record.__match_args__ == names
     positional = type(record)(*(getattr(record, name)
                                 for name in record.__match_args__))
     assert state(positional) == state(_rebuilt(record))
@@ -226,17 +225,17 @@ def test_replace_runs_the_sweep_spec_checks_again():
             spec.replace(**changes)
 
 
-def test_replace_recomputes_derived_spectrum_fields():
+def test_replace_copies_spectrum_probabilities_as_given():
     point = scattering_amplitudes(P1, 0.0, 1)
     moved = point.replace(r=0.6 + 0j)
-    assert (moved.R, moved.T, moved.loss) == (0.36, point.T, 1.0 - 0.36
-                                              - point.T)
-    assert moved == SpectrumPoint(point.omega, 0.6 + 0j, point.t)
-    # derived fields are not constructor arguments
+    assert (moved.R, moved.T, moved.loss) == (point.R, point.T, point.loss)
+    assert moved == SpectrumPoint(point.omega, 0.6 + 0j, point.t, point.R,
+                                  point.T, point.loss)
+    moved = point.replace(R=0.5)
+    assert moved.R == 0.5 and moved.r == point.r and moved.loss == point.loss
+    # the constructor takes R, T and loss; it cannot work them out
     with pytest.raises(TypeError):
-        point.replace(R=0.5)
-    with pytest.raises(TypeError):
-        SpectrumPoint(0.0, 1.0, 0.0, 1.0)
+        SpectrumPoint(point.omega, point.r, point.t)
 
 
 @pytest.mark.parametrize("record", [_RECORDS[k][0] for k in (
